@@ -1,10 +1,13 @@
 """Simulation engine: determinism, agreement with exact tails, and the
 figure/check helpers at desk-scale replication counts."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from petersburg.exact import trimmed_tail_exact
+from petersburg.limitlaw import sample_Y
 from petersburg.montecarlo import (
     EmpiricalTail,
     SimPlan,
@@ -56,6 +59,64 @@ def test_seed_blocks_give_prefix_stability():
     a = _draw_trimmed_sums(SimPlan(n=3, r=1, reps=70_000, master_seed=3))
     b = _draw_trimmed_sums(SimPlan(n=3, r=1, reps=100_000, master_seed=3))
     assert np.array_equal(a[:65536], b[:65536])
+
+
+def _pmf_raw():
+    res = max_pmf_check(1024, reps=40_000, seed=6)
+    return np.array([row["empirical"] for row in res["rows"]] + [res["outside_mass"]])
+
+
+def _chernoff_raw():
+    res = chernoff_check(1024, 0, reps=40_000, seed=7)
+    return np.array([row["empirical"] for row in res["rows"]])
+
+
+def _fig1_raw():
+    hist = histogram_fig1(1024, reps=40_000, seed=8)
+    return np.concatenate([hist["counts_untrimmed"], hist["counts_trimmed"]])
+
+
+# SHA-256 of each sampler's raw output, recorded before the samplers shared
+# one seed-block loop.  reps = 70_000 spans two seed blocks; n = 1024 with
+# reps = 40_000 splits each block into two 2^25-draw sub-blocks.
+_DRAW_DIGESTS = {
+    "trimmed-n3": (
+        lambda: _draw_trimmed_sums(SimPlan(n=3, r=1, reps=70_000, master_seed=3)),
+        "56aba3d47f93bd26fbb2457d33b1611fc9055eba71825677887fe2ff68424a37",
+    ),
+    "generalized-n4": (
+        lambda: _draw_trimmed_sums(SimPlan(n=4, r=0, reps=70_000, master_seed=5),
+                                   GameParams(1.0, 1.0 / 3.0)),
+        "e80c00e74d245ceadff5229b56442a241331a144289dae68d0a8a3ae9c082484",
+    ),
+    "sample-y": (
+        lambda: sample_Y(1, 0.75, truncation=500, reps=70_000, seed=9),
+        "2b014bc54850f9f827f9c2c3696b1125623aa420ce7a808c4a67c85d7dfcd5da",
+    ),
+    "trimmed-n1024": (
+        lambda: _draw_trimmed_sums(SimPlan(n=1024, r=1, reps=40_000, master_seed=4)),
+        "9148ced7d49e66f445465da4aec35b89605c6e70cbbcc06ef29d6e98e813d2b8",
+    ),
+    "max-pmf-n1024": (
+        _pmf_raw,
+        "55fc95a9e36c4b1b23f690c8f3c070ea999c5cafd7bc856ba029e04bfac202ec",
+    ),
+    "chernoff-n1024": (
+        _chernoff_raw,
+        "d08eb846ec444a89a2338969f2f86b14c5d44602309875e0df551ae1bac74e2a",
+    ),
+    "fig1-n1024": (
+        _fig1_raw,
+        "e63f4668ab8bbb4bb5dc7e353cb84b805b4c920b3ebbed58e7fbf18cc288039c",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DRAW_DIGESTS))
+def test_sampler_draws_are_pinned(name):
+    draw, digest = _DRAW_DIGESTS[name]
+    raw = np.ascontiguousarray(draw())
+    assert hashlib.sha256(raw.tobytes()).hexdigest() == digest
 
 
 def test_centered_mode_rejects_generalized():
