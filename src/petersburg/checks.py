@@ -55,7 +55,6 @@ __all__ = [
     "CheckResult",
     "ALL_CHECKS",
     "DEFAULT_CONFIG",
-    "run_by_name",
     "check_two_sum_closed_form",
     "check_trimmed_exact_vs_enumeration",
     "check_trimmed_tail_asymptote",
@@ -503,10 +502,3 @@ ALL_CHECKS = (
     ("figure_shapes", check_figure_shapes, ("fig1_reps", "fig_seed", "lobe_ratio_max")),
     ("thread_determinism", check_thread_determinism, ("det_reps", "det_seed")),
 )
-
-
-def run_by_name(name: str, config: dict) -> CheckResult:
-    for cname, fn, keys in ALL_CHECKS:
-        if cname == name:
-            return fn(**{k: config[k] for k in keys})
-    raise KeyError(name)

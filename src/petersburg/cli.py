@@ -3,7 +3,8 @@
 One subcommand per family of operations, JSON for scalars and exact
 rationals, CSV for curves.  Output is a pure function of the flags: every
 stochastic subcommand requires --seed, and the --threads flag (or the
-PETERSBURG_THREADS variable) is advisory only and never changes results.
+PETERSBURG_THREADS variable) must be >= 1 but is advisory only and never
+changes results.
 
 Exit codes: 0 success, 2 invalid flag value (the message names the flag),
 3 numeric non-convergence.  Output files are written atomically, so a
@@ -700,20 +701,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_positive_int(value) -> bool:
+    try:
+        return int(value) >= 1
+    except ValueError:
+        return False
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    # the variable is advisory, like --threads; read it so a bad value is
-    # rejected, then ignore it
-    env_threads = os.environ.get("PETERSBURG_THREADS")
-    if env_threads is not None:
-        try:
-            int(env_threads)
-        except ValueError:
-            print("error: PETERSBURG_THREADS must be an integer", file=sys.stderr)
+    # --threads and PETERSBURG_THREADS are advisory: a bad value is rejected,
+    # a good one ignored
+    for name, value in (("--threads", args.threads),
+                        ("PETERSBURG_THREADS", os.environ.get("PETERSBURG_THREADS"))):
+        if value is not None and not _is_positive_int(value):
+            print(f"error: {name} must be an integer >= 1", file=sys.stderr)
             return 2
     try:
         return args.func(args)

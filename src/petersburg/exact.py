@@ -19,7 +19,6 @@ from petersburg.stpdist import CLASSICAL, GameParams, floor_log2
 __all__ = [
     "DyadicProb",
     "CappedTailTable",
-    "TrimmedDPState",
     "DEFAULT_CAP_GUARD",
     "sum_tail_exact",
     "trimmed_tail_exact",
@@ -235,8 +234,6 @@ def sum_tail_exact(n: int, x, cap_guard: int = DEFAULT_CAP_GUARD) -> DyadicProb:
 
 # DP states are (remaining_items, trims_left, partial_sum) with partial_sum = -1
 # once the kept sum is known to exceed the threshold.
-TrimmedDPState = tuple
-
 _OVER = -1
 
 

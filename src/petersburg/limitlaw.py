@@ -21,10 +21,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.integrate import quad, simpson
 
-from petersburg.stpdist import floor_log2, frac_log2, gamma_n, psi
+from petersburg.stpdist import floor_log2, frac_log2, gamma_n, psi, seed_blocks
 
 __all__ = [
-    "SemistableParams",
     "LevyAtomSeries",
     "CdfCurve",
     "InversionError",
@@ -54,23 +53,6 @@ __all__ = [
 
 class InversionError(RuntimeError):
     """CF inversion could not meet its accuracy budget."""
-
-
-@dataclass(frozen=True)
-class SemistableParams:
-    """gamma in [1/2, 1] and an optional conditioning index j; eta = 2^j/gamma."""
-
-    gamma: float
-    j: int = None
-
-    def __post_init__(self):
-        if not (0.5 <= self.gamma <= 1.0):
-            raise ValueError(f"gamma must lie in [1/2, 1], got {self.gamma}")
-
-    @property
-    def eta(self) -> float:
-        jj = 0 if self.j is None else self.j
-        return math.ldexp(1.0, jj) / self.gamma
 
 
 @dataclass(frozen=True)
@@ -569,26 +551,21 @@ def series_center(r: int, gamma: float, truncation: int) -> float:
     return math.fsum(_psi_over_arg(ks, gamma))
 
 
-_SAMPLE_CHUNK = 65536  # fixed; results must not depend on worker count
-
-
 def sample_Y(
     r: int,
     gamma: float,
     truncation: int = 10_000,
     reps: int = 1,
     seed=None,
-    method: str = "block",
 ) -> np.ndarray:
     """Seeded draws of the truncated series sum_{k=r+1}^N (Psi(Z_k/gamma)/Z_k
     - Psi(k/gamma)/k) with Z_k the unit Poisson arrival times.
 
-    method "direct" materializes every arrival.  method "block" (default)
-    simulates the first 64 arrivals exactly, then adds later arrivals per
+    The first 64 arrivals are simulated exactly; later arrivals are added per
     dyadic block of the arrival axis: within a block the summand is the
     constant 2^-m/gamma, so only the Poisson count per block matters, and
-    truncation keeps the earliest arrivals by taking blocks in order.  The two
-    methods sample the same law; block turns 10^4 terms into ~10 counts.
+    truncation keeps the earliest arrivals by taking blocks in order.  This
+    turns 10^4 terms into ~10 counts.
     """
     if gamma <= 0:
         raise ValueError("gamma must be > 0")
@@ -596,37 +573,13 @@ def sample_Y(
         raise ValueError("truncation must be >= r + 1")
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    if method not in ("block", "direct"):
-        raise ValueError(f"unknown method {method!r}")
     center = series_center(r, gamma, truncation)
-    seeds = np.random.SeedSequence(seed).spawn((reps + _SAMPLE_CHUNK - 1) // _SAMPLE_CHUNK)
     out = np.empty(reps)
     pos = 0
-    for ss in seeds:
-        b = min(_SAMPLE_CHUNK, reps - pos)
-        rng = np.random.default_rng(ss)
-        if method == "direct":
-            out[pos : pos + b] = _sample_chunk_direct(r, gamma, truncation, b, rng)
-        else:
-            out[pos : pos + b] = _sample_chunk_block(r, gamma, truncation, b, rng)
-        pos += b
+    for rng, rows in seed_blocks(seed, reps):
+        out[pos : pos + rows] = _sample_chunk_block(r, gamma, truncation, rows, rng)
+        pos += rows
     return out - center
-
-
-def _sample_chunk_direct(r, gamma, truncation, b, rng):
-    s = np.zeros(b)
-    carry = np.zeros(b)
-    k0 = 0
-    colblock = 2048  # bounded memory; fixed so draws are reproducible
-    while k0 < truncation:
-        cols = min(colblock, truncation - k0)
-        z = carry[:, None] + np.cumsum(rng.standard_exponential((b, cols)), axis=1)
-        carry = z[:, -1]
-        lo = max(r - k0, 0)  # global indices k0+i+1 > r contribute
-        if lo < cols:
-            s += _psi_over_arg(z[:, lo:], gamma).sum(axis=1)
-        k0 += cols
-    return s
 
 
 def _sample_chunk_block(r, gamma, truncation, b, rng):

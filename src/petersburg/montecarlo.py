@@ -1,9 +1,9 @@
 """Seeded Monte Carlo for St. Petersburg sums.
 
-Simulation is chunked: replicates are split into fixed blocks of 65536, each
-block drawing from its own SeedSequence child, so results depend only on the
-master seed and never on worker count or batching.  Memory per block is
-bounded by processing rows in sub-blocks sized from n.
+Every sampler here draws through stpdist.seed_blocks, the one place where
+(seed, block index) maps to a random stream: results depend only on the master
+seed, never on worker count or batching, and each sub-block holds at most
+2^25 payoff draws.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from petersburg.stpdist import (
     payoffs_from_levels,
     sample_levels,
     sample_truncated_levels,
+    seed_blocks,
     truncated_moment,
 )
 
@@ -38,9 +39,6 @@ __all__ = [
     "oscillation_curve_fig2",
     "calibrate_uniform_bound_c",
 ]
-
-_CHUNK = 65536  # replicates per seed block; fixed so results are reproducible
-
 
 @dataclass(frozen=True)
 class SimPlan:
@@ -81,31 +79,19 @@ class EmpiricalTail:
         return 3.0 * math.sqrt(max(p * (1.0 - p), 1.0 / self.reps) / self.reps)
 
 
-def _seed_blocks(seed, reps: int):
-    return np.random.SeedSequence(seed).spawn((reps + _CHUNK - 1) // _CHUNK)
-
-
 def _draw_trimmed_sums(plan: SimPlan, params: GameParams = CLASSICAL) -> np.ndarray:
     """Raw trimmed-sum replicates: S_n minus its r largest payoffs."""
     n, r = plan.n, plan.r
     out = np.empty(plan.reps)
     pos = 0
-    rows_at_once = max(1, min(_CHUNK, (1 << 25) // n))
-    for ss in _seed_blocks(plan.master_seed, plan.reps):
-        b = min(_CHUNK, plan.reps - pos)
-        rng = np.random.default_rng(ss)
-        done = 0
-        while done < b:
-            rows = min(rows_at_once, b - done)
-            levels = sample_levels((rows, n), rng, params)
-            pay = payoffs_from_levels(levels, params)
-            if r == 0:
-                s = pay.sum(axis=1)
-            else:
-                s = np.partition(pay, n - r - 1, axis=1)[:, : n - r].sum(axis=1)
-            out[pos + done : pos + done + rows] = s
-            done += rows
-        pos += b
+    for rng, rows in seed_blocks(plan.master_seed, plan.reps, n):
+        pay = payoffs_from_levels(sample_levels((rows, n), rng, params), params)
+        if r == 0:
+            s = pay.sum(axis=1)
+        else:
+            s = np.partition(pay, n - r - 1, axis=1)[:, : n - r].sum(axis=1)
+        out[pos : pos + rows] = s
+        pos += rows
     return out
 
 
@@ -164,20 +150,11 @@ def max_pmf_check(n: int, j_lo: int = -3, j_hi: int = 6, reps: int = 1_000_000, 
     g = gamma_n(n)
     counts = np.zeros(j_hi - j_lo + 1, dtype=np.int64)
     outside = 0
-    pos = 0
-    rows_at_once = max(1, min(_CHUNK, (1 << 25) // n))
-    for ss in _seed_blocks(seed, reps):
-        b = min(_CHUNK, reps - pos)
-        rng = np.random.default_rng(ss)
-        done = 0
-        while done < b:
-            rows = min(rows_at_once, b - done)
-            m = sample_levels((rows, n), rng).max(axis=1) - k0
-            inside = (m >= j_lo) & (m <= j_hi)
-            counts += np.bincount(m[inside] - j_lo, minlength=j_hi - j_lo + 1)
-            outside += int((~inside).sum())
-            done += rows
-        pos += b
+    for rng, rows in seed_blocks(seed, reps, n):
+        m = sample_levels((rows, n), rng).max(axis=1) - k0
+        inside = (m >= j_lo) & (m <= j_hi)
+        counts += np.bincount(m[inside] - j_lo, minlength=j_hi - j_lo + 1)
+        outside += int((~inside).sum())
     rows_out = []
     for j in range(j_lo, j_hi + 1):
         emp = counts[j - j_lo] / reps
@@ -205,20 +182,11 @@ def chernoff_check(
         raise ValueError("conditioning level below 1; raise j")
     mu = truncated_moment(1, cap)
     tails = np.zeros(len(xs), dtype=np.int64)
-    pos = 0
-    rows_at_once = max(1, min(_CHUNK, (1 << 25) // n))
     xs_arr = np.asarray(xs, dtype=float)
-    for ss in _seed_blocks(seed, reps):
-        b = min(_CHUNK, reps - pos)
-        rng = np.random.default_rng(ss)
-        done = 0
-        while done < b:
-            rows = min(rows_at_once, b - done)
-            levels = sample_truncated_levels(cap, (rows, n), rng)
-            z = payoffs_from_levels(levels).sum(axis=1) / n - mu
-            tails += (z[:, None] >= xs_arr[None, :]).sum(axis=0)
-            done += rows
-        pos += b
+    for rng, rows in seed_blocks(seed, reps, n):
+        levels = sample_truncated_levels(cap, (rows, n), rng)
+        z = payoffs_from_levels(levels).sum(axis=1) / n - mu
+        tails += (z[:, None] >= xs_arr[None, :]).sum(axis=0)
     rows = []
     for x, cnt in zip(xs, tails):
         p = cnt / reps
@@ -253,21 +221,12 @@ def histogram_fig1(
     edges = lo + bin_width * np.arange(nbins + 1)
     counts_full = np.zeros(nbins, dtype=np.int64)
     counts_trim = np.zeros(nbins, dtype=np.int64)
-    pos = 0
-    rows_at_once = max(1, min(_CHUNK, (1 << 25) // n))
-    for ss in _seed_blocks(seed, reps):
-        b = min(_CHUNK, reps - pos)
-        rng = np.random.default_rng(ss)
-        done = 0
-        while done < b:
-            rows = min(rows_at_once, b - done)
-            pay = payoffs_from_levels(sample_levels((rows, n), rng))
-            s = pay.sum(axis=1)
-            t = s - pay.max(axis=1)
-            counts_full += np.histogram(np.log2(s), bins=nbins, range=(lo, hi))[0]
-            counts_trim += np.histogram(np.log2(t), bins=nbins, range=(lo, hi))[0]
-            done += rows
-        pos += b
+    for rng, rows in seed_blocks(seed, reps, n):
+        pay = payoffs_from_levels(sample_levels((rows, n), rng))
+        s = pay.sum(axis=1)
+        t = s - pay.max(axis=1)
+        counts_full += np.histogram(np.log2(s), bins=nbins, range=(lo, hi))[0]
+        counts_trim += np.histogram(np.log2(t), bins=nbins, range=(lo, hi))[0]
     return {
         "n": n,
         "reps": reps,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -30,9 +29,12 @@ __all__ = [
     "sample",
     "sample_levels",
     "sample_truncated_levels",
+    "SEED_BLOCK",
+    "seed_blocks",
 ]
 
 _LOG_SNAP = 1e-12  # relative snap when a log-derived index sits on an integer
+SEED_BLOCK = 65536  # replicates per seed block; fixed so draws never depend on batching
 
 
 @dataclass(frozen=True)
@@ -61,12 +63,6 @@ class GameParams:
         if self.is_classical:
             return math.ldexp(1.0, k)
         return self.q ** (-k / self.alpha)
-
-    def payoff_fraction(self, k: int) -> Fraction:
-        """Exact rational payoff q^(-k) of the float-q law; requires alpha == 1."""
-        if self.alpha != 1.0:
-            raise ValueError("rational payoffs require alpha == 1")
-        return Fraction(1) / Fraction(self.q) ** k
 
     def level_prob(self, k: int) -> float:
         """P{K = k} = q^(k-1) * p."""
@@ -194,6 +190,25 @@ def truncated_moment(ell: int, k: int) -> float:
         return k / norm
     r = math.ldexp(1.0, ell - 1)
     return r / norm * (r**k - 1.0) / (r - 1.0)
+
+
+def seed_blocks(seed, reps: int, row_len: int = 1):
+    """Yield (rng, rows) over reps replicates in replicate order.
+
+    Block i covers replicates [i*SEED_BLOCK, (i+1)*SEED_BLOCK) and draws from
+    the i-th child of SeedSequence(seed), so replicate j depends on (seed, j)
+    alone, never on reps or batching.  A block comes in sub-blocks of at most
+    2^25 // row_len rows, which bounds a body drawing row_len values per
+    replicate at 2^25 draws at once.  Each body must consume its rng in row
+    order for the stream to stay fixed.
+    """
+    sub = max(1, min(SEED_BLOCK, (1 << 25) // row_len))
+    children = np.random.SeedSequence(seed).spawn((reps + SEED_BLOCK - 1) // SEED_BLOCK)
+    for i, ss in enumerate(children):
+        rng = np.random.default_rng(ss)
+        b = min(SEED_BLOCK, reps - i * SEED_BLOCK)
+        for done in range(0, b, sub):
+            yield rng, min(sub, b - done)
 
 
 def sample_levels(count: int, rng: np.random.Generator, params: GameParams = CLASSICAL) -> np.ndarray:

@@ -1,15 +1,19 @@
-"""Independent brute-force reference for small-n tail probabilities.
+"""Independent brute-force references for small-n tails and the Y series law.
 
 Enumerates payoff-level vectors in {1..K, BIG}^n directly with Fraction
 arithmetic.  Deliberately shares no code with the package: levels are raw
 product tuples (no multiset/multinomial shortcut), probabilities and payoffs
 are exact rationals.  Used to freeze fixture values for the fast engines.
+The series sampler materializes every Poisson arrival, as a law oracle for
+the block sampler behind ``limitlaw.sample_Y``.
 """
 
 from fractions import Fraction
 from itertools import product
 
-__all__ = ["classical_trimmed_tail", "general_trimmed_tail", "general_single_tail"]
+import numpy as np
+
+__all__ = ["classical_trimmed_tail", "general_trimmed_tail", "general_single_tail", "series_y_direct"]
 
 
 def classical_trimmed_tail(n: int, r: int, x: int) -> Fraction:
@@ -66,6 +70,23 @@ def general_single_tail(x, p) -> Fraction:
     while q**-k <= x:
         k += 1
     return q ** (k - 1)  # sum_{j >= k} q^(j-1) p
+
+
+def series_y_direct(r: int, gamma: float, truncation: int, reps: int, rng) -> np.ndarray:
+    """Draws of sum_{k=r+1}^N (Psi(Z_k/gamma)/Z_k - Psi(k/gamma)/k), N = truncation,
+    with every unit Poisson arrival Z_k drawn; Psi(v/gamma)/v = 2^-floor(log2(v/gamma))/gamma.
+    """
+
+    def psi_over(v):
+        return np.ldexp(1.0 / gamma, 1 - np.frexp(v / gamma)[1])
+
+    center = psi_over(np.arange(r + 1, truncation + 1, dtype=float)).sum()
+    out = np.empty(reps)
+    rows = max(1, (1 << 22) // truncation)  # bounded memory
+    for lo in range(0, reps, rows):
+        z = np.cumsum(rng.standard_exponential((min(rows, reps - lo), truncation)), axis=1)
+        out[lo : lo + rows] = psi_over(z[:, r:]).sum(axis=1) - center
+    return out
 
 
 def _enumerate(n, r, x, payoffs, probs) -> Fraction:

@@ -373,7 +373,15 @@ def test_env_threads_validated(capsys, monkeypatch):
     rc, _, err = run(capsys, "xi", "--gamma", "1.0")
     assert rc == 2
     assert "PETERSBURG_THREADS" in err
+    monkeypatch.setenv("PETERSBURG_THREADS", "-3")
+    rc, _, err = run(capsys, "xi", "--gamma", "1.0", "--threads", "1")
+    assert rc == 2
+    assert "PETERSBURG_THREADS" in err
     monkeypatch.setenv("PETERSBURG_THREADS", "8")
+    for bad in ("-5", "0"):
+        rc, out, err = run(capsys, "xi", "--gamma", "1.0", "--threads", bad)
+        assert rc == 2 and out == ""
+        assert "--threads" in err
     rc, out, _ = run(capsys, "xi", "--gamma", "1.0")
     monkeypatch.delenv("PETERSBURG_THREADS")
     rc2, out2, _ = run(capsys, "xi", "--gamma", "1.0")

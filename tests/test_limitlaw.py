@@ -9,8 +9,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import norm
+from scipy.stats import ks_2samp, norm
 
+from oracle_reference import series_y_direct
 from petersburg.limitlaw import (
     InversionError,
     a_const,
@@ -188,6 +189,16 @@ def test_sample_y_untrimmed_matches_wgamma():
     emp = np.searchsorted(ys, grid, side="right") / ys.size
     ks = np.abs(emp - curve.eval(grid)).max()
     assert ks <= 0.02
+
+
+def test_sample_y_block_matches_direct_law():
+    # the block sampler against every arrival drawn, same truncated series;
+    # two-sample KS bound sqrt(ln(2/alpha)/2 * (n+m)/(n*m)) at alpha = 1e-3
+    n = m = 20_000
+    block = sample_Y(1, 0.75, truncation=2000, reps=n, seed=31)
+    direct = series_y_direct(1, 0.75, 2000, m, np.random.default_rng(32))
+    ks = ks_2samp(block, direct).statistic
+    assert ks <= math.sqrt(math.log(2 / 1e-3) / 2 * (n + m) / (n * m))  # 0.0195
 
 
 def test_series_center_matches_partial_centering():
