@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from petersburg.stpdist import CLASSICAL, GameParams, floor_log2, frac_log2, psi
-from petersburg.exact import DEFAULT_CAP_GUARD, enum_oracle, sum_tail_exact
+from petersburg.exact import enum_oracle, sum_tail_exact, trimmed_tail_exact
 
 __all__ = [
     "TailAsymptote",
@@ -35,43 +35,28 @@ class TailAsymptote:
     """Leading power term and the bracket correction, kept separate.
 
     value = leading * correction; correction always lies in [1, 2^(r+1)].
-    inner_backend records how the inner probability was computed ("exact",
-    "enum", "montecarlo", or "none" when the inner sum is empty), and inner_ci
-    its half-width when stochastic.
+    inner_backend records how the inner probability was computed: "exact",
+    or "none" when the inner sum is empty.
     """
 
     leading: float
     correction: float
     inner_prob: float
     inner_backend: str
-    inner_ci: float = 0.0
 
     @property
     def value(self) -> float:
         return self.leading * self.correction
 
 
-def _inner_sum_tail(m: int, threshold: float, cap_guard, mc_reps, mc_seed):
-    """P{S_m > threshold} with backend bookkeeping; m = 0 never exceeds."""
+def _inner_sum_tail(m: int, threshold: float):
+    """P{S_m > threshold} and its backend; m = 0 never exceeds."""
     if m == 0:
-        return 0.0, "none", 0.0
-    t = math.floor(threshold)
-    if t <= cap_guard:
-        return float(sum_tail_exact(m, t, cap_guard)), "exact", 0.0
-    from petersburg.montecarlo import SimPlan, simulate_trimmed
-
-    emp = simulate_trimmed(SimPlan(n=m, r=0, reps=mc_reps, master_seed=mc_seed))
-    return float(emp.tail(threshold)), "montecarlo", emp.ci_halfwidth(threshold)
+        return 0.0, "none"
+    return float(sum_tail_exact(m, threshold)), "exact"
 
 
-def snr_tail_rhs(
-    n: int,
-    r: int,
-    x,
-    cap_guard: int = DEFAULT_CAP_GUARD,
-    mc_reps: int = 200_000,
-    mc_seed=0,
-) -> TailAsymptote:
+def snr_tail_rhs(n: int, r: int, x) -> TailAsymptote:
     """Asymptotic tail of the r-trimmed sum of n classical games at threshold x."""
     if not (0 <= r < n):
         raise ValueError("need 0 <= r < n")
@@ -81,20 +66,12 @@ def snr_tail_rhs(
     # psi(x)^(r+1) = 2^((r+1){log2 x}) without the exp/log round trip
     leading = math.comb(n, r + 1) * psi(x) ** (r + 1) / x ** (r + 1)
     threshold = x - math.ldexp(1.0, floor_log2(x))  # exact subtraction
-    inner, backend, ci = _inner_sum_tail(n - r - 1, threshold, cap_guard, mc_reps, mc_seed)
+    inner, backend = _inner_sum_tail(n - r - 1, threshold)
     correction = 1.0 + ((1 << (r + 1)) - 1) * inner
-    return TailAsymptote(leading, correction, inner, backend, ci)
+    return TailAsymptote(leading, correction, inner, backend)
 
 
-def finer_as_rhs(
-    n: int,
-    r: int,
-    m: int,
-    c: float,
-    cap_guard: int = DEFAULT_CAP_GUARD,
-    mc_reps: int = 200_000,
-    mc_seed=0,
-) -> float:
+def finer_as_rhs(n: int, r: int, m: int, c: float) -> float:
     """Tail approximation P{S_{n,r} > 2^m + c} for fixed c > 1 and large m.
 
     The fractional part of log2(2^m + c) vanishes in the limit, so the leading
@@ -106,7 +83,7 @@ def finer_as_rhs(
         raise ValueError("c must be > 1")
     if m < 1:
         raise ValueError("m must be >= 1")
-    inner, _backend, _ci = _inner_sum_tail(n - r - 1, c, cap_guard, mc_reps, mc_seed)
+    inner, _backend = _inner_sum_tail(n - r - 1, c)
     bracket = 1.0 + ((1 << (r + 1)) - 1) * inner
     return math.ldexp(math.comb(n, r + 1) * bracket, -m * (r + 1))
 
@@ -131,7 +108,6 @@ def gen_snr_tail_rhs(
     r: int,
     x,
     params: GameParams = CLASSICAL,
-    cap_guard: int = DEFAULT_CAP_GUARD,
     mc_reps: int = 400_000,
     mc_seed=0,
 ) -> float:
@@ -139,11 +115,11 @@ def gen_snr_tail_rhs(
 
     Reduces exactly to snr_tail_rhs for the classical parameters.  The inner
     probability P{S_{n-r-1} > x(1 - q^{frac/alpha})} comes from the exact
-    engine (classical), the small-n enumeration, or Monte Carlo, in that order
-    of preference.
+    engine (classical), the small-n enumeration, or, for non-classical games
+    with n - r - 1 > 5, Monte Carlo, which no exact engine replaces there.
     """
     if params.is_classical:
-        return snr_tail_rhs(n, r, x, cap_guard, mc_reps, mc_seed).value
+        return snr_tail_rhs(n, r, x).value
     if not (0 <= r < n):
         raise ValueError("need 0 <= r < n")
     x = float(x)
@@ -190,14 +166,12 @@ def uniform_bound_rhs(n: int, r: int, x: float, delta: float, C: float) -> float
     return term1 + term2
 
 
-def ratio_table(n: int, r: int, xs, cap_guard: int = DEFAULT_CAP_GUARD) -> list:
+def ratio_table(n: int, r: int, xs) -> list:
     """Rows (x, frac_log2, exact, asymptote, ratio, backend) over an x-grid."""
-    from petersburg.exact import trimmed_tail_exact
-
     rows = []
     for x in xs:
-        asym = snr_tail_rhs(n, r, x, cap_guard)
-        ex = float(trimmed_tail_exact(n, r, math.floor(x), cap_guard))
+        asym = snr_tail_rhs(n, r, x)
+        ex = float(trimmed_tail_exact(n, r, x))
         rows.append(
             (
                 float(x),

@@ -10,6 +10,7 @@ replicate count as keyword arguments so a config file can override them.
 
 from __future__ import annotations
 
+import inspect
 import math
 import os
 import subprocess
@@ -149,16 +150,14 @@ _LIMSUP_X = 8191
 def check_oscillation_band(
     band_lo: float = 0.999, band_hi: float = 2.1, endpoint_tol: float = 0.02
 ) -> CheckResult:
-    guard = 1 << 20
     worst_lo = worst_hi = 0.0
     ok = True
-    # largest x first so each n caches one table and the rest reuse it
     for n, x in _LIMINF_POINTS.items():
-        v = x * _tail_float(sum_tail_exact(n, x, cap_guard=guard)) / n
+        v = x * _tail_float(sum_tail_exact(n, x)) / n
         worst_lo = max(worst_lo, abs(v - 1.0))
         ok = ok and abs(v - 1.0) <= endpoint_tol
     for n in (2, 4, 16):
-        v = _LIMSUP_X * _tail_float(sum_tail_exact(n, _LIMSUP_X, cap_guard=guard)) / (2 * n)
+        v = _LIMSUP_X * _tail_float(sum_tail_exact(n, _LIMSUP_X)) / (2 * n)
         worst_hi = max(worst_hi, abs(v - 1.0))
         ok = ok and abs(v - 1.0) <= endpoint_tol
     band = []
@@ -166,7 +165,7 @@ def check_oscillation_band(
         for x in dyadic_grid(12, 14, 33):
             if not 0.1 < frac_log2(x) < 0.9:
                 continue
-            band.append(x * _tail_float(sum_tail_exact(n, x, cap_guard=guard)) / n)
+            band.append(x * _tail_float(sum_tail_exact(n, x)) / n)
     ok = ok and all(band_lo <= v <= band_hi for v in band)
     return CheckResult(
         "oscillation_band",
@@ -442,63 +441,31 @@ def check_thread_determinism(det_reps: int = 30_000, det_seed: int = 7) -> Check
     )
 
 
-DEFAULT_CONFIG = {
-    "ratio_lo": 0.98,
-    "ratio_hi": 1.02,
-    "band_lo": 0.999,
-    "band_hi": 2.1,
-    "endpoint_tol": 0.02,
-    "conv_tol": 0.01,
-    "weight_count": 50,
-    "weight_seed": 23,
-    "weight_tol": 1e-12,
-    "moment_tol": 1e-6,
-    "cf_tol": 1e-10,
-    "merge_reps": 200_000,
-    "merge_seed": 11,
-    "ks_tol": 0.05,
-    "y_reps": 10_000_000,
-    "y_truncation": 10_000,
-    "y_seed": 13,
-    "y_ratio_lo": 0.9,
-    "y_ratio_hi": 1.1,
-    "y_band_lo": 0.9,
-    "y_band_hi": 2.2,
-    "centering_count": 200,
-    "xi_count": 100,
-    "centering_seed": 29,
-    "centering_tol": 1e-12,
-    "xi_tol": 1e-10,
-    "chernoff_reps": 1_000_000,
-    "chernoff_seed": 17,
-    "gen_ratio_lo": 0.85,
-    "gen_ratio_hi": 1.15,
-    "gen_far_tol": 0.015,
-    "fig1_reps": 1_000_000,
-    "fig_seed": 19,
-    "lobe_ratio_max": 0.25,
-    "det_reps": 30_000,
-    "det_seed": 7,
-}
-
-# name, function, config keys passed through as keyword arguments
-ALL_CHECKS = (
-    ("two_sum_closed_form", check_two_sum_closed_form, ()),
-    ("trimmed_exact_vs_enumeration", check_trimmed_exact_vs_enumeration, ()),
-    ("trimmed_tail_asymptote", check_trimmed_tail_asymptote, ("ratio_lo", "ratio_hi")),
-    ("oscillation_band", check_oscillation_band, ("band_lo", "band_hi", "endpoint_tol")),
-    ("two_sum_convolution_ratio", check_two_sum_convolution_ratio, ("conv_tol",)),
-    ("weight_normalization", check_weight_normalization,
-     ("weight_count", "weight_seed", "weight_tol")),
-    ("cf_moments_and_backends", check_cf_moments_and_backends, ("moment_tol", "cf_tol")),
-    ("merging_ks", check_merging_ks, ("merge_reps", "merge_seed", "ks_tol")),
-    ("y_tail_bracket", check_y_tail_bracket,
-     ("y_reps", "y_truncation", "y_seed", "y_ratio_lo", "y_ratio_hi", "y_band_lo", "y_band_hi")),
-    ("centering_identities", check_centering_identities,
-     ("centering_count", "xi_count", "centering_seed", "centering_tol", "xi_tol")),
-    ("chernoff_bounds", check_chernoff_bounds, ("chernoff_reps", "chernoff_seed")),
-    ("generalized_game", check_generalized_game,
-     ("gen_ratio_lo", "gen_ratio_hi", "gen_far_tol")),
-    ("figure_shapes", check_figure_shapes, ("fig1_reps", "fig_seed", "lobe_ratio_max")),
-    ("thread_determinism", check_thread_determinism, ("det_reps", "det_seed")),
+_CHECKS = (
+    check_two_sum_closed_form,
+    check_trimmed_exact_vs_enumeration,
+    check_trimmed_tail_asymptote,
+    check_oscillation_band,
+    check_two_sum_convolution_ratio,
+    check_weight_normalization,
+    check_cf_moments_and_backends,
+    check_merging_ks,
+    check_y_tail_bracket,
+    check_centering_identities,
+    check_chernoff_bounds,
+    check_generalized_game,
+    check_figure_shapes,
+    check_thread_determinism,
 )
+
+# name, function, config keys passed through as keyword arguments; the keys
+# and their defaults are each check's own keyword parameters
+ALL_CHECKS = tuple(
+    (fn.__name__.removeprefix("check_"), fn, tuple(inspect.signature(fn).parameters))
+    for fn in _CHECKS
+)
+DEFAULT_CONFIG = {
+    key: param.default
+    for fn in _CHECKS
+    for key, param in inspect.signature(fn).parameters.items()
+}

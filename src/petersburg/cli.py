@@ -31,7 +31,6 @@ from petersburg.asymptotics import (
     uniform_bound_rhs,
 )
 from petersburg.exact import (
-    DEFAULT_CAP_GUARD,
     conv_ratio_curve,
     dyadic_grid,
     enum_oracle,
@@ -193,12 +192,12 @@ def _two_pow_split(x: int):
 
 
 def _cmd_exact_tail(args) -> int:
-    dp = sum_tail_exact(args.n, args.x, cap_guard=args.cap_guard)
+    dp = sum_tail_exact(args.n, args.x)
     if args.n == 2 and args.x >= 0:
         split = _two_pow_split(args.x)
         if split is not None:
             if two_sum_tail_closed(*split) != dp:
-                raise RuntimeError("closed two-sum form disagrees with the table")
+                raise RuntimeError("closed two-sum form disagrees with the exact engine")
     _emit(args, _jdump(dp.to_json()))
     return 0
 
@@ -213,7 +212,7 @@ def _cmd_trimmed_tail(args) -> int:
         _emit(args, _jdump({"n": args.n, "r": args.r, "x": args.normalized_x,
                             "delta": args.delta, "c": args.bound_c, "bound": value}))
         return 0
-    dp = trimmed_tail_exact(args.n, args.r, args.x, cap_guard=args.cap_guard)
+    dp = trimmed_tail_exact(args.n, args.r, args.x)
     out = dp.to_json()
     if args.oracle:
         out["oracle_agrees"] = enum_oracle(args.n, args.r, args.x) == dp
@@ -228,7 +227,7 @@ def _cmd_conv_ratio(args) -> int:
         xs = list(args.x)
     else:
         raise ValueError("--x or --x-dyadic is required")
-    rows = [(x, v, 0.0, "exact") for x, v in conv_ratio_curve(xs, cap_guard=args.cap_guard)]
+    rows = [(x, v, 0.0, "exact") for x, v in conv_ratio_curve(xs)]
     _emit(args, _csv("x,value,error_estimate,backend", rows))
     return 0
 
@@ -236,18 +235,17 @@ def _cmd_conv_ratio(args) -> int:
 def _cmd_asym_tail(args) -> int:
     if args.x_dyadic is not None:
         xs = _parse_dyadic(args.x_dyadic, "--x-dyadic")
-        rows = ratio_table(args.n, args.r, xs, cap_guard=args.cap_guard)
+        rows = ratio_table(args.n, args.r, xs)
         _emit(args, _csv("x,frac_log2,exact,asymptote,ratio,backend", rows))
         return 0
     if args.x is None:
         raise ValueError("--x or --x-dyadic is required")
-    asym = snr_tail_rhs(args.n, args.r, args.x, cap_guard=args.cap_guard,
-                        mc_reps=args.mc_reps, mc_seed=args.seed)
+    asym = snr_tail_rhs(args.n, args.r, args.x)
     _emit(args, _jdump({
         "n": args.n, "r": args.r, "x": args.x,
         "leading": asym.leading, "correction": asym.correction,
         "inner_prob": asym.inner_prob, "inner_backend": asym.inner_backend,
-        "inner_ci": asym.inner_ci, "value": asym.value,
+        "value": asym.value,
     }))
     return 0
 
@@ -429,7 +427,7 @@ def _cmd_fig2(args) -> int:
     if args.m_lo >= m_hi:
         raise ValueError("--m-lo must sit below log2 of --xmax")
     rows = oscillation_curve_fig2(n=args.n, m_lo=args.m_lo, m_hi=m_hi,
-                                  per_octave=args.per_octave, cap_guard=args.cap_guard)
+                                  per_octave=args.per_octave)
     _emit(args, _csv("x,value", rows))
     return 0
 
@@ -515,7 +513,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="exact dyadic tail of the n-round sum")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--x", type=int, required=True)
-    sp.add_argument("--cap-guard", type=int, default=DEFAULT_CAP_GUARD)
     sp.set_defaults(func=_cmd_exact_tail)
 
     sp = sub.add_parser("trimmed-tail", parents=[common],
@@ -523,7 +520,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--r", type=int, default=0)
     sp.add_argument("--x", type=int, default=0)
-    sp.add_argument("--cap-guard", type=int, default=DEFAULT_CAP_GUARD)
     sp.add_argument("--oracle", action="store_true",
                     help="cross-check against brute enumeration (n <= 5)")
     sp.add_argument("--normalized-x", type=float, default=None,
@@ -536,7 +532,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="two-sum tail over one-payoff tail")
     sp.add_argument("--x", type=float, action="append")
     sp.add_argument("--x-dyadic", help="grid spec m0:m1:points-per-octave")
-    sp.add_argument("--cap-guard", type=int, default=DEFAULT_CAP_GUARD)
     sp.set_defaults(func=_cmd_conv_ratio)
 
     sp = sub.add_parser("asym-tail", parents=[common],
@@ -545,9 +540,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--r", type=int, default=0)
     sp.add_argument("--x", type=float, default=None)
     sp.add_argument("--x-dyadic", help="grid spec m0:m1:points-per-octave")
-    sp.add_argument("--cap-guard", type=int, default=DEFAULT_CAP_GUARD)
-    sp.add_argument("--mc-reps", type=int, default=200_000)
-    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=_cmd_asym_tail)
 
     sp = sub.add_parser("finer-as", parents=[common],
@@ -689,7 +681,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--xmax", type=int, default=16384)
     sp.add_argument("--m-lo", type=int, default=4)
     sp.add_argument("--per-octave", type=int, default=32)
-    sp.add_argument("--cap-guard", type=int, default=DEFAULT_CAP_GUARD)
     sp.set_defaults(func=_cmd_fig2)
 
     sp = sub.add_parser("repro-all", parents=[common],

@@ -1,16 +1,18 @@
 """Exact dyadic tail probabilities for partial and trimmed St. Petersburg sums.
 
 Every probability here is an integer over a power of two, kept exact with
-arbitrary-precision integers.  The convolution and DP engines pool all payoff
-levels above the query threshold into one "big" atom: a kept big payoff pushes
-the (trimmed) sum past the threshold no matter its actual level, so the pooled
-state is exact, and the level grid stays logarithmic in x.
+arbitrary-precision integers.  One DP answers both P{S_n > x} and
+P{S_{n,r} > x}.  It walks the payoff levels from the top down, so its work
+grows with log2 x, not with x.  All payoff levels above the query threshold
+pool into one "big" atom: a kept big payoff pushes the (trimmed) sum past the
+threshold no matter its actual level, so the pooled state is exact.  Inputs
+are bounded by n <= 32 and x < 2^1024.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -18,8 +20,6 @@ from petersburg.stpdist import CLASSICAL, GameParams, floor_log2
 
 __all__ = [
     "DyadicProb",
-    "CappedTailTable",
-    "DEFAULT_CAP_GUARD",
     "sum_tail_exact",
     "trimmed_tail_exact",
     "two_sum_tail_closed",
@@ -27,9 +27,6 @@ __all__ = [
     "conv_ratio_curve",
     "dyadic_grid",
 ]
-
-DEFAULT_CAP_GUARD = 1 << 20
-
 
 class DyadicProb:
     """Probability num / 2^log2_den in canonical form (num odd, or zero with den 1)."""
@@ -124,186 +121,93 @@ class DyadicProb:
         return cls(int(obj["num"]), int(obj["log2_den"]))
 
 
-@dataclass
-class CappedTailTable:
-    """Exact law of S_n on {0..cap} plus the pooled overflow mass P{S_n > cap}.
-
-    masses[s] and overflow are integer numerators over 2^log2_den; masses[s]
-    is the true P{S_n = s} for s <= cap because any payoff above cap lands the
-    whole sum in the overflow bucket.
-    """
-
-    n: int
-    cap: int
-    log2_den: int
-    masses: list = field(repr=False)
-    overflow: int = 0
-    _tails: list = field(default=None, repr=False)
-
-    def _tail_nums(self):
-        if self._tails is None:
-            tails = [0] * (self.cap + 1)
-            acc = self.overflow
-            for s in range(self.cap, -1, -1):
-                tails[s] = acc
-                acc += self.masses[s]
-            self._tails = tails
-        return self._tails
-
-    def tail(self, x) -> DyadicProb:
-        """P{S_n > x}; x may be real, only floor(x) matters (S_n is integer)."""
-        s = math.floor(x)
-        if s < 0:
-            return DyadicProb.one()
-        if s > self.cap:
-            raise ValueError(f"x={x} exceeds table cap {self.cap}")
-        return DyadicProb(self._tail_nums()[s], self.log2_den)
-
-    def mass(self, s: int) -> DyadicProb:
-        if not (0 <= s <= self.cap):
-            raise ValueError("s out of range")
-        return DyadicProb(self.masses[s], self.log2_den)
-
-    def overflow_prob(self) -> DyadicProb:
-        return DyadicProb(self.overflow, self.log2_den)
-
-    def total_is_one(self) -> bool:
-        return sum(self.masses) + self.overflow == 1 << self.log2_den
+_N_MAX = 32
+# the float range the asymptotics work in; x = 2^1024 already overflows a float
+_X_LIMIT = 1 << 1024
 
 
-def _build_table(n: int, cap: int) -> CappedTailTable:
-    # one game: explicit levels 1..K-1 (payoff 2^k <= cap), pool level >= K
-    K = cap.bit_length()  # 2^(K-1) <= cap < 2^K
-    dg = K - 1  # per-game denominator exponent
-    masses = [0] * (cap + 1)
-    masses[0] = 1
-    overflow = 0
-    for _ in range(n):
-        new = [0] * (cap + 1)
-        # previous overflow stays overflowed whatever the next payoff adds
-        newover = overflow << dg
-        # pool (level >= K, mass 2^-dg) sends any current state to overflow
-        newover += sum(masses)
-        for k in range(1, K):
-            v = 1 << k
-            sh = dg - k
-            src = masses[: cap + 1 - v]
-            if sh:
-                new[v:] = [a + (b << sh) for a, b in zip(new[v:], src)]
-            else:
-                new[v:] = [a + b for a, b in zip(new[v:], src)]
-            ov = sum(masses[cap + 1 - v :])
-            newover += ov << sh
-        masses = new
-        overflow = newover
-    return CappedTailTable(n=n, cap=cap, log2_den=n * dg, masses=masses, overflow=overflow)
+def _floor_x(x) -> int:
+    """floor(x) as an int; x must be a number below 2^1024."""
+    try:
+        x = math.floor(x)
+    except (OverflowError, ValueError):  # inf, nan
+        x = _X_LIMIT
+    if x >= _X_LIMIT:
+        raise ValueError("x must be a number below 2^1024")
+    return x
 
 
-_TABLE_CACHE: dict = {}
+def sum_tail_exact(n: int, x) -> DyadicProb:
+    """P{S_n > x} for the classical game, exact; only floor(x) matters."""
+    if not 1 <= n <= _N_MAX:
+        raise ValueError(f"n must lie in 1..{_N_MAX}")
+    return _tail(n, 0, _floor_x(x))
 
 
-def sum_table(n: int, cap: int) -> CappedTailTable:
-    """Cached exact table covering sums up to cap (rounded up to a power of two)."""
-    if n < 1 or n > 32:
-        raise ValueError("n must lie in 1..32")
-    cap = max(cap, 2 * n, 8)
-    cached = _TABLE_CACHE.get(n)
-    if cached is not None and cached.cap >= cap:
-        return cached
-    cap = 1 << (cap - 1).bit_length()  # round up: reuse across nearby queries
-    table = _build_table(n, cap)
-    _TABLE_CACHE[n] = table
-    return table
-
-
-def sum_tail_exact(n: int, x, cap_guard: int = DEFAULT_CAP_GUARD) -> DyadicProb:
-    """P{S_n > x} for the classical game, exact.
-
-    Work and memory grow linearly in x (capped atom table), so queries are
-    guarded: raise rather than silently grind past cap_guard.
-    """
-    if n < 1 or n > 32:
-        raise ValueError("n must lie in 1..32")
-    x = math.floor(x)
-    if x < 2 * n:
-        return DyadicProb.one()  # every payoff is >= 2
-    if x > cap_guard:
-        raise ValueError(f"x={x} exceeds cap_guard={cap_guard}; raise the guard explicitly")
-    return sum_table(n, x).tail(x)
-
-
-# DP states are (remaining_items, trims_left, partial_sum) with partial_sum = -1
-# once the kept sum is known to exceed the threshold.
-_OVER = -1
-
-
-def trimmed_tail_exact(n: int, r: int, x, cap_guard: int = DEFAULT_CAP_GUARD) -> DyadicProb:
-    """P{S_{n,r} > x}: tail of the partial sum with the r largest payoffs removed.
-
-    Processes levels from the largest down, so trims are consumed greedily,
-    which matches removing the r largest order statistics.  State weights are
-    (numerator, exponent) pairs; only the result is wrapped in DyadicProb.
-    """
+def trimmed_tail_exact(n: int, r: int, x) -> DyadicProb:
+    """P{S_{n,r} > x}: tail of the partial sum with the r largest payoffs removed."""
     if not (0 <= r < n):
         raise ValueError("need 0 <= r < n")
-    if n > 32:
-        raise ValueError("n must lie in 1..32")
-    x = math.floor(x)
+    if n > _N_MAX:
+        raise ValueError(f"n must lie in 1..{_N_MAX}")
+    return _tail(n, r, _floor_x(x))
+
+
+# Queries repeat (sweeps and tables revisit the same lattice points, and many
+# x share one largest attainable sum below them), so a bounded memo keyed on
+# the floored x answers them again at lookup cost.
+@functools.lru_cache(maxsize=1 << 14)
+def _tail(n: int, r: int, x: int) -> DyadicProb:
+    """P{S_{n,r} > x} for integer x, walking payoff levels top down.
+
+    A state (m items left, t trims left, q) carries q = floor((x - kept sum) /
+    2^(k+1)) before level k; placing c items at level k keeps c - min(t, c) of
+    them (trims go to the largest payoffs first) and moves q to
+    2q + bit_k(x) - kept.  q < 0 means the kept sum already exceeds x: the
+    path is absorbed, with every unplaced item free below level k.  Once
+    2q >= m - t the remaining kept payoffs (each <= 2^(k-1)) cannot exceed
+    the budget, so the path is dropped.  Every level above L = floor(log2 x)
+    pays more than x; they enter as one pooled level L+1 of mass 2^-L.  A
+    state's weight is an integer over 2^(placed items * L).
+    """
     if x < 2 * (n - r):
         return DyadicProb.one()  # n-r kept payoffs, each >= 2
-    if x > cap_guard:
-        raise ValueError(f"x={x} exceeds cap_guard={cap_guard}; raise the guard explicitly")
-    L = floor_log2(x)  # levels > L exceed x and are pooled
-
-    states: dict = {(n, r, 0): (1, 0)}
+    # S_{n,r} is a sum of n - r powers of two >= 2: even, with at most n - r
+    # set bits.  It takes no value in (s, x] for the largest such s <= x.
+    s = x & ~1
+    while s.bit_count() > n - r:
+        s &= s - 1
+    if s != x:
+        return _tail(n, r, s)
+    L = x.bit_length() - 1
     comb = math.comb
-
-    def _push(acc, key, num, e):
-        cur = acc.get(key)
-        if cur is None:
-            acc[key] = (num, e)
-        else:
-            cn, ce = cur
-            if ce < e:
-                acc[key] = ((cn << (e - ce)) + num, e)
-            else:
-                acc[key] = (cn + (num << (ce - e)), ce)
-
-    # pooled big level: mass 2^-L per item, any kept one overshoots
-    new: dict = {}
-    for (m, t, s), (num, e) in states.items():
-        for c in range(m + 1):
-            trims = min(t, c)
-            key = (m - c, t - trims, _OVER if c > trims else s)
-            _push(new, key, num * comb(m, c), e + L * c)
-    states = new
-
-    for k in range(L, 0, -1):
-        v = 1 << k
-        new = {}
-        for (m, t, s), (num, e) in states.items():
-            if m == 0:
-                _push(new, (m, t, s), num, e)
-                continue
-            for c in (range(m + 1) if k > 1 else (m,)):
+    over = 0  # numerator over 2^(nL)
+    states = {(n, r, 0): 1}
+    for k in range(L + 1, 0, -1):
+        sh = max(L - k, 0)  # one item's mass at level k is 2^sh over 2^L
+        bit = x >> k & 1
+        absorbed = [0] * (n + 1)  # by items left unplaced
+        new: dict = {}
+        for (m, t, q), num in states.items():
+            for c in range(m + 1) if k > 1 else (m,):
                 trims = min(t, c)
-                kept = c - trims
-                if s == _OVER:
-                    s2 = _OVER
-                else:
-                    s2 = s + kept * v
-                    if s2 > x:
-                        s2 = _OVER
-                key = (m - c, t - trims, s2)
-                _push(new, key, num * comb(m, c), e + k * c)
+                m2, t2 = m - c, t - trims
+                q2 = 2 * q + bit - (c - trims)
+                wt = (num * comb(m, c)) << (sh * c)
+                if q2 < 0:
+                    absorbed[m2] += wt
+                elif 2 * q2 < m2 - t2:
+                    key = (m2, t2, q2)
+                    new[key] = new.get(key, 0) + wt
         states = new
-
-    result = DyadicProb.zero()
-    for (m, _t, s), (num, e) in states.items():
-        assert m == 0
-        if s == _OVER:
-            result = result + DyadicProb(num, e)
-    return result
+        # an unplaced item lies below level k with mass 1 - 2^-(k-1), over 2^L;
+        # Horner in that mass keeps the big products to one per item count
+        free = ((1 << (k - 1)) - 1) << (L + 1 - k)
+        acc = 0
+        for a in reversed(absorbed):
+            acc = acc * free + a
+        over += acc
+    return DyadicProb(over, n * L)
 
 
 def two_sum_tail_closed(k: int, ell: int) -> DyadicProb:
@@ -396,7 +300,7 @@ def _enum_multisets(n, r, x, payoffs, probs):
     return total
 
 
-def conv_ratio_curve(xs, cap_guard: int = DEFAULT_CAP_GUARD) -> list:
+def conv_ratio_curve(xs) -> list:
     """(x, P{S_2 > x} / P{X > x}) pairs; the ratio oscillates between 2 and 4.
 
     The ratio is formed in exact rational arithmetic before the final float.
@@ -405,7 +309,7 @@ def conv_ratio_curve(xs, cap_guard: int = DEFAULT_CAP_GUARD) -> list:
     for x in xs:
         if x < 2:
             raise ValueError("ratio curve needs x >= 2")
-        num = sum_tail_exact(2, x, cap_guard).as_fraction()
+        num = sum_tail_exact(2, x).as_fraction()
         den = Fraction(1, 1 << floor_log2(float(x)))
         out.append((float(x), float(num / den)))
     return out

@@ -3,7 +3,7 @@
 Every sampler here draws through stpdist.seed_blocks, the one place where
 (seed, block index) maps to a random stream: results depend only on the master
 seed, never on worker count or batching, and each sub-block holds at most
-2^25 payoff draws.
+2^22 payoff draws.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from petersburg.exact import sum_table, sum_tail_exact
+from petersburg.exact import sum_tail_exact
 from petersburg.limitlaw import centering, chernoff_bound, gstar_cdf, wgamma_cdf_curve
 from petersburg.stpdist import (
     CLASSICAL,
@@ -260,17 +260,12 @@ def oscillation_curve_fig2(
     m_lo: int = 4,
     m_hi: int = 14,
     per_octave: int = 32,
-    cap_guard: int = 1 << 20,
 ) -> list:
     """Rows (x, x*P{S_n > x}) on a log-uniform integer grid, exact backend.
 
     Every octave includes its endpoints 2^m and 2^(m+1)-1 so the drop across
     each power of two is visible in the output.
     """
-    top = 1 << m_hi
-    if top > cap_guard:
-        raise ValueError("m_hi exceeds cap_guard")
-    sum_table(n, top)  # one build; queries below reuse it
     xs = set()
     for m in range(m_lo, m_hi):
         base = 1 << m
@@ -278,7 +273,7 @@ def oscillation_curve_fig2(
         xs.update(int(round(base * 2.0 ** (i / per_octave))) for i in range(per_octave))
     rows = []
     for x in sorted(xs):
-        p = float(sum_tail_exact(n, x, cap_guard=cap_guard))
+        p = float(sum_tail_exact(n, x))
         rows.append((float(x), x * p))
     return rows
 

@@ -198,11 +198,13 @@ def seed_blocks(seed, reps: int, row_len: int = 1):
     Block i covers replicates [i*SEED_BLOCK, (i+1)*SEED_BLOCK) and draws from
     the i-th child of SeedSequence(seed), so replicate j depends on (seed, j)
     alone, never on reps or batching.  A block comes in sub-blocks of at most
-    2^25 // row_len rows, which bounds a body drawing row_len values per
-    replicate at 2^25 draws at once.  Each body must consume its rng in row
-    order for the stream to stay fixed.
+    2^22 // row_len rows, which bounds a body drawing row_len values per
+    replicate at 2^22 draws at once; each draw passes through several 8-byte
+    temporaries, so a sub-block costs a few hundred MB.  Each body must
+    consume its rng in row order for the stream to stay fixed, which also
+    makes the draws independent of the sub-block size.
     """
-    sub = max(1, min(SEED_BLOCK, (1 << 25) // row_len))
+    sub = max(1, min(SEED_BLOCK, (1 << 22) // row_len))
     children = np.random.SeedSequence(seed).spawn((reps + SEED_BLOCK - 1) // SEED_BLOCK)
     for i, ss in enumerate(children):
         rng = np.random.default_rng(ss)

@@ -14,7 +14,7 @@ from petersburg.asymptotics import (
     subexp_limits,
     uniform_bound_rhs,
 )
-from petersburg.exact import trimmed_tail_exact
+from petersburg.exact import sum_tail_exact, trimmed_tail_exact
 from petersburg.stpdist import GameParams
 
 GEN = GameParams(1.0, 1.0 / 3.0)
@@ -47,8 +47,12 @@ def test_asymptote_structure():
     assert isinstance(a, TailAsymptote)
     assert a.value == a.leading * a.correction
     assert a.inner_backend == "exact"
-    assert a.inner_ci == 0.0
     assert a.correction > 1.0
+    # thresholds far past 2^20 stay on the exact engine
+    far = snr_tail_rhs(4, 1, 3 * 2**40)
+    assert far.inner_backend == "exact"
+    assert far.inner_prob == float(sum_tail_exact(2, 2**40))
+    assert snr_tail_rhs(2, 1, 3 * 2**40).inner_backend == "none"
 
 
 def test_leading_term_formula():
@@ -58,15 +62,6 @@ def test_leading_term_formula():
     want = math.comb(n, r + 1) * (psi_x / x) ** (r + 1)
     assert a.leading == pytest.approx(want, rel=1e-12)
     assert a.correction == pytest.approx(1.0 + (2 ** (r + 1) - 1) * a.inner_prob, rel=1e-12)
-
-
-def test_montecarlo_inner_fallback():
-    # a tiny cap guard forces the inner probability onto the sampled route
-    exact = snr_tail_rhs(4, 1, 3 * 2**8)
-    mc = snr_tail_rhs(4, 1, 3 * 2**8, cap_guard=64, mc_reps=100_000, mc_seed=2)
-    assert mc.inner_backend == "montecarlo"
-    assert mc.inner_ci > 0.0
-    assert abs(mc.inner_prob - exact.inner_prob) <= mc.inner_ci
 
 
 def test_finer_as_fixture():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from petersburg import limitlaw
+from petersburg.checks import ALL_CHECKS, DEFAULT_CONFIG
 from petersburg.cli import _build_parser, main
 from petersburg.montecarlo import SimPlan, simulate_trimmed
 from petersburg.stpdist import gamma_n
@@ -156,6 +157,11 @@ def test_asym_tail_csv(capsys):
     for ln in lines[1:]:
         ratio = float(ln.split(",")[4])
         assert 0.9 < ratio < 1.1
+    rc, out, _ = run(capsys, "asym-tail", "--n", "4", "--r", "1", "--x", "3e12")
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["inner_backend"] == "exact" and "inner_ci" not in doc
+    assert run(capsys, "asym-tail", "--n", "4", "--x", "100", "--mc-reps", "5")[0] == 2
 
 
 def test_finer_as_pinned(capsys):
@@ -355,8 +361,8 @@ def test_fig2_default_structure(capsys):
 def test_validation_exits_2(capsys):
     rc, _, err = run(capsys, "exact-tail", "--n", "0", "--x", "4")
     assert rc == 2 and "error" in err
-    rc, _, err = run(capsys, "exact-tail", "--n", "4", "--x", str(1 << 21))
-    assert rc == 2 and "guard" in err
+    rc, _, err = run(capsys, "exact-tail", "--n", "4", "--x", str(1 << 1024))
+    assert rc == 2 and "x must be a number below 2^1024" in err
     rc, _, err = run(capsys, "quantile", "--u", "1.5")
     assert rc == 2
 
@@ -426,6 +432,13 @@ def test_repro_all_quick_config(capsys, tmp_path):
     assert "FAIL" not in text
     # progress streams to stderr as each check lands
     assert err.count("PASS") == 14
+
+
+def test_config_keys_come_from_check_signatures():
+    keys = [key for _name, _fn, fn_keys in ALL_CHECKS for key in fn_keys]
+    # no two checks share a key, so each override reaches exactly one check
+    assert len(keys) == len(set(keys)) == len(DEFAULT_CONFIG) == 36
+    assert DEFAULT_CONFIG["merge_reps"] == 200_000 and type(DEFAULT_CONFIG["ks_tol"]) is float
 
 
 def test_repro_all_rejects_unknown_key(capsys, tmp_path):

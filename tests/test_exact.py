@@ -1,17 +1,19 @@
-"""Exact dyadic engine against the independent enumeration reference."""
+"""Exact dyadic engine against the independent enumeration reference and the
+two engines it replaced."""
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from legacy_exact import capped_sum_table, sparse_trimmed_tails
 from oracle_reference import classical_trimmed_tail
+from petersburg.checks import _LIMINF_POINTS, _LIMSUP_X
 from petersburg.exact import (
-    CappedTailTable,
     DyadicProb,
     conv_ratio_curve,
     dyadic_grid,
     enum_oracle,
-    sum_table,
     sum_tail_exact,
     trimmed_tail_exact,
     two_sum_tail_closed,
@@ -82,29 +84,50 @@ def test_two_sum_closed_form_validates():
         two_sum_tail_closed(4, 2)
 
 
-def test_cap_guard_and_small_x():
-    with pytest.raises(ValueError):
-        sum_tail_exact(2, 1 << 21)
-    # raising the guard explicitly is allowed
-    assert sum_tail_exact(2, 1 << 21, cap_guard=1 << 22).as_fraction() > 0
+def test_large_x_and_small_x():
+    # far past where a table linear in x could go; n = 2 has a closed form
+    assert sum_tail_exact(2, 1 << 21) == two_sum_tail_closed(20, 20)
+    assert sum_tail_exact(2, (1 << 59) + 8) == two_sum_tail_closed(3, 59)
+    assert trimmed_tail_exact(32, 2, 1 << 60) < trimmed_tail_exact(32, 2, (1 << 60) - 1)
     assert sum_tail_exact(8, 15).as_fraction() == 1
-
-
-def test_sum_table_reuses_larger_cache():
-    big = sum_table(3, 512)
-    small = sum_table(3, 64)
-    assert small is big
-    assert big.cap >= 512
+    for x in (1 << 1024, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="2\\^1024"):
+            sum_tail_exact(2, x)
+    with pytest.raises(ValueError, match="2\\^1024"):
+        trimmed_tail_exact(4, 1, 1 << 1030)
+    assert sum_tail_exact(32, (1 << 1024) - 1) > DyadicProb.zero()
+    assert sum_tail_exact(3, np.float64(100.5)) == sum_tail_exact(3, np.int64(100))
 
 
 def test_table_mass_accounting():
-    t = sum_table(4, 128)
+    # the legacy table oracle itself: masses plus overflow make one
+    t = capped_sum_table(4, 128)
     assert t.total_is_one()
     # tail at x equals pooled mass above x plus the overflow bucket
     for x in (8, 9, 64, 127):
-        masses = sum(t.mass(s).as_fraction() for s in range(x + 1, t.cap + 1))
-        want = masses + t.overflow_prob().as_fraction()
-        assert t.tail(x).as_fraction() == want
+        masses = sum(t.mass(s) for s in range(x + 1, t.cap + 1))
+        assert t.tail(x) == masses + t.overflow_prob()
+
+
+def test_level_dp_matches_legacy_engines():
+    for n in range(1, 9):
+        table = capped_sum_table(n, 299)
+        for x in range(300):
+            assert sum_tail_exact(n, x).as_fraction() == table.tail(x), (n, x)
+        for r in range(n):
+            sparse = sparse_trimmed_tails(n, r, 299)
+            for x in range(300):
+                assert trimmed_tail_exact(n, r, x).as_fraction() == sparse[x], (n, r, x)
+
+
+def test_level_dp_matches_legacy_at_oscillation_points():
+    points = [*_LIMINF_POINTS.items()] + [(n, _LIMSUP_X) for n in (2, 4, 16)]
+    for n, x in points:
+        want = capped_sum_table(n, x).tail(x)
+        assert sum_tail_exact(n, x).as_fraction() == want, (n, x)
+        # both legacy engines take about 10 s at n = 16, x = 529900; one will do
+        if n * x < 10**6:
+            assert sparse_trimmed_tails(n, 0, x)[x] == want, (n, x)
 
 
 def test_enum_oracle_agrees_with_dp():

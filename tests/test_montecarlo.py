@@ -78,7 +78,8 @@ def _fig1_raw():
 
 # SHA-256 of each sampler's raw output, recorded before the samplers shared
 # one seed-block loop.  reps = 70_000 spans two seed blocks; n = 1024 with
-# reps = 40_000 splits each block into two 2^25-draw sub-blocks.
+# reps = 40_000 runs its one block as ten sub-blocks of at most 2^22 draws
+# (two of 2^25 when recorded), so the sub-block size cannot move a draw.
 _DRAW_DIGESTS = {
     "trimmed-n3": (
         lambda: _draw_trimmed_sums(SimPlan(n=3, r=1, reps=70_000, master_seed=3)),
