@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from petersburg.stpdist import CLASSICAL, GameParams, floor_log2, frac_log2, psi
+from petersburg.stpdist import CLASSICAL, GameParams, floor_log2, frac_log2
 from petersburg.exact import enum_oracle, sum_tail_exact, trimmed_tail_exact
 
 __all__ = [
@@ -63,9 +63,11 @@ def snr_tail_rhs(n: int, r: int, x) -> TailAsymptote:
     x = float(x)
     if x < 2.0:
         raise ValueError("x must be >= 2")
-    # psi(x)^(r+1) = 2^((r+1){log2 x}) without the exp/log round trip
-    leading = math.comb(n, r + 1) * psi(x) ** (r + 1) / x ** (r + 1)
-    threshold = x - math.ldexp(1.0, floor_log2(x))  # exact subtraction
+    # psi(x)/x = 2^-floor(log2 x) exactly, so the power term is one ldexp and
+    # cannot overflow however large x^(r+1) would be
+    fl = floor_log2(x)
+    leading = math.ldexp(math.comb(n, r + 1), -(r + 1) * fl)
+    threshold = x - math.ldexp(1.0, fl)  # exact subtraction
     inner, backend = _inner_sum_tail(n - r - 1, threshold)
     correction = 1.0 + ((1 << (r + 1)) - 1) * inner
     return TailAsymptote(leading, correction, inner, backend)

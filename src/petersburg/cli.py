@@ -49,6 +49,7 @@ from petersburg.limitlaw import (
     chernoff_bound,
     chernoff_h,
     gstar_cdf,
+    gstar_cdf_error,
     sample_Y,
     wgamma_cdf_curve,
     wjg_cdf_curve,
@@ -301,7 +302,8 @@ def _cmd_gstar_cdf(args) -> int:
     if args.x_lin is not None:
         xs = _parse_lin(args.x_lin, "--x-lin")
         vals = gstar_cdf(args.gamma, xs, weight_tol=args.weight_tol)
-        rows = [(float(x), float(v), args.weight_tol, "series") for x, v in zip(xs, vals)]
+        errs = gstar_cdf_error(args.gamma, xs, weight_tol=args.weight_tol)
+        rows = [(float(x), float(v), float(e), "series") for x, v, e in zip(xs, vals, errs)]
         _emit(args, _csv("x,value,error_estimate,backend", rows))
         return 0
     if args.x is None:

@@ -13,6 +13,7 @@ stpdist.psi; all dyadic scalings go through ldexp/frexp so they are exact.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,6 +39,7 @@ __all__ = [
     "wgamma_cdf_curve",
     "curve_moments",
     "gstar_cdf",
+    "gstar_cdf_error",
     "gmix_cdf",
     "sample_Y",
     "y_tail_rhs",
@@ -333,10 +335,14 @@ class CdfCurve:
         """Cubic Hermite between grid nodes (density = derivative), so the
         interpolation error matches the integration accuracy; clamps to 0/1
         outside the window."""
-        x = np.asarray(x, dtype=float)
         n = len(self.cdf)
+        # positions one step past either edge clamp the same as any further
+        # out, so huge |x| never overflows the arithmetic below; minimum and
+        # maximum instead of np.clip, whose call overhead dominates small x
+        x = np.asarray(x, dtype=float)
+        x = np.minimum(np.maximum(x, self.x0 - self.dx), self.x0 + n * self.dx)
         pos = (x - self.x0) / self.dx
-        i = np.clip(np.floor(pos).astype(np.int64), 0, n - 2)
+        i = np.minimum(np.maximum(np.floor(pos).astype(np.int64), 0), n - 2)
         t = pos - i
         f0, f1 = self.cdf[i], self.cdf[i + 1]
         g0, g1 = self.density[i] * self.dx, self.density[i + 1] * self.dx
@@ -349,7 +355,7 @@ class CdfCurve:
             + (t3 - t2) * g1
         )
         out = np.where(pos <= 0.0, 0.0, np.where(pos >= n - 1, 1.0, out))
-        return np.clip(out, 0.0, 1.0)
+        return np.minimum(np.maximum(out, 0.0), 1.0)
 
     def ppf(self, u):
         """Inverse CDF by interpolation on the strictly informative stretch."""
@@ -407,8 +413,12 @@ def invert_cf_curve(cf: Callable, lo: float, hi: float, n_points: int, max_point
     return CdfCurve(x0=lo, dx=dx * stride, cdf=cdf[::stride], density=g[::stride] / mass, error=err)
 
 
-_WJG_CACHE: dict = {}
-_WG_CACHE: dict = {}
+# entry bounds of the curve caches: a limit-curves benchmark round reads 273
+# W_{j,gamma} curves (about 31 MB) and a few W_gamma curves of up to 4 MB
+# each; the bounds leave room above that and keep a long gamma sweep from
+# holding every curve it ever built
+_WJG_CACHE_SIZE = 512
+_WG_CACHE_SIZE = 16
 
 
 def wjg_cdf_curve(j: int, gamma: float) -> CdfCurve:
@@ -417,11 +427,13 @@ def wjg_cdf_curve(j: int, gamma: float) -> CdfCurve:
     Window: mean log2(eta), Gaussian scale sqrt(2 eta) near the centre, but the
     right edge must clear ~2.75 eta because single big Levy jumps carry mass
     way past the Gaussian range before the superexponential regime kicks in.
+    The cache keeps the _WJG_CACHE_SIZE most recently read curves.
     """
-    key = (j, float(gamma))
-    hit = _WJG_CACHE.get(key)
-    if hit is not None:
-        return hit
+    return _wjg_curve(j, float(gamma))
+
+
+@functools.lru_cache(maxsize=_WJG_CACHE_SIZE)
+def _wjg_curve(j: int, gamma: float) -> CdfCurve:
     eta = math.ldexp(1.0, j) / gamma
     mu = math.log2(eta)
     sigma = math.sqrt(2.0 * eta)
@@ -430,9 +442,7 @@ def wjg_cdf_curve(j: int, gamma: float) -> CdfCurve:
     t_req = 70.0 if eta >= 0.5 else max(70.0, math.sqrt(34.0 / eta))
     dx_target = min(0.02 if eta <= 64.0 else 0.08, sigma / 6.0, 2.0 * math.pi / t_req)
     n = 1 << max(10, math.ceil(math.log2((hi - lo) / dx_target)))
-    curve = invert_cf_curve(lambda t: cf_Wjgamma(j, gamma, t, backend="atoms"), lo, hi, n)
-    _WJG_CACHE[key] = curve
-    return curve
+    return invert_cf_curve(lambda t: cf_Wjgamma(j, gamma, t, backend="atoms"), lo, hi, n)
 
 
 def wgamma_cdf_curve(gamma: float, hi: float = 24576.0) -> CdfCurve:
@@ -443,20 +453,20 @@ def wgamma_cdf_curve(gamma: float, hi: float = 24576.0) -> CdfCurve:
     tail is spiky (a big-jump bump of mass 2^-k near every 2^k/gamma), and the
     FFT wraps whatever lies beyond the edge back into the window, so the edge
     is snapped to the quiet zone sqrt(2) 2^k/gamma between bumps; the wrapped
-    remainder then lands far from the bulk.
+    remainder then lands far from the bulk.  The cache keeps the
+    _WG_CACHE_SIZE most recently read curves.
     """
-    key = (float(gamma), float(hi))
-    hit = _WG_CACHE.get(key)
-    if hit is not None:
-        return hit
+    return _wgamma_curve(float(gamma), float(hi))
+
+
+@functools.lru_cache(maxsize=_WG_CACHE_SIZE)
+def _wgamma_curve(gamma: float, hi: float) -> CdfCurve:
     k = floor_log2(hi * gamma)
     hi_snap = math.ldexp(math.sqrt(2.0), k) / gamma
     lo = -48.0
     dx_target = 2.0 * math.pi / 70.0
     n = 1 << max(12, math.ceil(math.log2((hi_snap - lo) / dx_target)))
-    curve = invert_cf_curve(lambda t: cf_Wgamma(gamma, t), lo, hi_snap, n)
-    _WG_CACHE[key] = curve
-    return curve
+    return invert_cf_curve(lambda t: cf_Wgamma(gamma, t), lo, hi_snap, n)
 
 
 def curve_moments(curve: CdfCurve) -> tuple:
@@ -472,6 +482,15 @@ def curve_moments(curve: CdfCurve) -> tuple:
 # the trimmed limit G*
 
 
+_COLLAPSE_X_MAX = 4096.0  # the collapse window never reaches beyond this x
+_R_TERMS = 399  # most Poisson counts m a mixture level sums
+_LOG_FACT = np.array([math.lgamma(m + 1.0) for m in range(1, _R_TERMS + 1)])
+_TABLE_CACHE_SIZE = 64
+# elements of one (points x terms) evaluation block: each of eval's dozen
+# temporaries then stays in cache (2^18 made 200k-point queries 1.7x slower)
+_EVAL_CHUNK = 1 << 14
+
+
 def _collapse_cut(gamma: float, x_hi: float) -> int:
     # components with eta_s >= (range + 40) look identical below x_hi up to
     # the explicit no-big-jump factor, so curves above s are never built
@@ -479,13 +498,19 @@ def _collapse_cut(gamma: float, x_hi: float) -> int:
     return max(2, math.ceil(math.log2(need)) + 1)
 
 
-def _mixture_cdf(gamma: float, xs: np.ndarray, star: bool, weight_tol: float) -> np.ndarray:
-    _check_merging_gamma(gamma)
-    xs = np.asarray(xs, dtype=float)
-    finite_hi = float(xs.max()) if xs.size else 0.0
-    x_hi = min(max(finite_hi, 64.0), 4096.0)
-    s_cut = _collapse_cut(gamma, x_hi)
-    acc = np.zeros_like(xs)
+class _TermTable(NamedTuple):
+    groups: tuple  # (curve index jj, shifts, weights), one per conditional curve
+    skipped: float  # mixture weight of the terms left out
+    deficit: float  # weight the collapse factors take off above the window
+
+
+@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _term_table(gamma: float, star: bool, weight_tol: float, s_cut: int) -> _TermTable:
+    # terms p_j r_j(m) for the level j of the maximum and its Poisson count m;
+    # conditional curve j-1, shifted by (m-1) 2^j/gamma (m 2^j/gamma untrimmed)
+    m = np.arange(1, _R_TERMS + 1)
+    groups: dict = {}
+    nominal = []  # p_j r_j(m) of every kept term, before any collapse factor
     used = 0.0
     for j in range(-8, 64):
         pj = p_weight(j, gamma)
@@ -493,36 +518,101 @@ def _mixture_cdf(gamma: float, xs: np.ndarray, star: bool, weight_tol: float) ->
             if j > 4 and used > 1.0 - 1e-9:
                 break
             continue
-        jj = j - 1
+        jj, factor = j - 1, 1.0
         if jj > s_cut:
-            curve = wjg_cdf_curve(s_cut, gamma)
             factor = math.exp(-gamma * (math.ldexp(1.0, -s_cut) - math.ldexp(1.0, -jj)))
-        else:
-            curve = wjg_cdf_curve(jj, gamma)
-            factor = 1.0
+            jj = s_cut
         lam = math.ldexp(gamma, -j)
+        # r_weight for every m at once, in log space
+        log_norm = lam if lam > 36.0 else math.log(math.expm1(lam))
+        rw = np.exp(m * math.log(lam) - _LOG_FACT - log_norm)
+        # counts up to the first whose cumulative weight reaches 1 - 1e-12
+        count = min(int(np.searchsorted(np.cumsum(rw), 1.0 - 1e-12)) + 1, _R_TERMS)
+        rw = rw[:count]
+        keep = rw * factor > 1e-15
         step = math.ldexp(1.0, j) / gamma
-        cum = 0.0
-        m = 1
-        while cum < 1.0 - 1e-12 and m < 400:
-            rw = r_weight(j, gamma, m)
-            cum += rw
-            shift = (m - 1) * step if star else m * step
-            if rw * factor > 1e-15:
-                arg_hi = finite_hi - shift
-                if arg_hi >= curve.x0:
-                    acc += (pj * rw * factor) * curve.eval(xs - shift)
-            m += 1
+        shifts = ((m[:count] - 1) if star else m[:count])[keep] * step
+        shift_list, weight_list = groups.setdefault(jj, ([], []))
+        shift_list.append(shifts)
+        weight_list.append(pj * rw[keep] * factor)
+        nominal.append(pj * rw[keep])
         used += pj
+    table = tuple((jj, np.concatenate(s), np.concatenate(w)) for jj, (s, w) in groups.items())
+    kept = math.fsum(np.concatenate(nominal)) if nominal else 0.0
+    weights = math.fsum(np.concatenate([w for _, _, w in table])) if table else 0.0
+    return _TermTable(table, max(0.0, 1.0 - kept), kept - weights)
+
+
+def _mixture_table(gamma: float, xs: np.ndarray, star: bool, weight_tol: float):
+    """The term table for the points xs, and the largest finite point."""
+    _check_merging_gamma(gamma)
+    if np.isnan(xs).any():
+        raise ValueError("x must not be nan")
+    finite = xs[np.isfinite(xs)]
+    finite_hi = float(finite.max()) if finite.size else 0.0
+    x_hi = min(max(finite_hi, 64.0), _COLLAPSE_X_MAX)
+    table = _term_table(float(gamma), star, float(weight_tol), _collapse_cut(gamma, x_hi))
+    return table, finite_hi
+
+
+def _mixture_cdf(gamma: float, xs: np.ndarray, star: bool, weight_tol: float) -> np.ndarray:
+    """Mixture CDF at xs from the cached term table: per conditional curve,
+    one (points x terms) evaluation of the shifted curve times the weights.
+
+    Curves are read through wjg_cdf_curve on every call, so its cache stays
+    their only owner.  Levels with p_j < weight_tol are skipped; a level's
+    counts m stop at cumulative weight 1 - 1e-12 (at most 399); curves above
+    the collapse cut (set by the largest finite x, within 4096) are the cut's
+    curve times the no-big-jump factor.
+    """
+    table, finite_hi = _mixture_table(gamma, xs, star, weight_tol)
+    acc = np.zeros_like(xs)
+    for jj, shifts, weights in table.groups:
+        curve = wjg_cdf_curve(jj, gamma)
+        # a term shifted past every x evaluates to exactly 0
+        live = finite_hi - shifts >= curve.x0
+        shifts, weights = shifts[live], weights[live]
+        if not shifts.size:
+            continue
+        rows = max(1, _EVAL_CHUNK // shifts.size)
+        for a in range(0, xs.size, rows):
+            acc[a : a + rows] += curve.eval(xs[a : a + rows, None] - shifts) @ weights
+    acc[xs == np.inf] = 1.0
+    acc[xs == -np.inf] = 0.0
     return acc
 
 
 def gstar_cdf(gamma: float, x, weight_tol: float = 1e-10):
     """CDF of the trimmed merging limit: the double mixture of conditional
-    curves G_{j-1} shifted by (m-1) 2^j/gamma with weights p_j r_j(m)."""
+    curves G_{j-1} shifted by (m-1) 2^j/gamma with weights p_j r_j(m).
+
+    The terms come from a table cached per (gamma, weight_tol, collapse cut);
+    gstar_cdf_error gives the matching error estimate.  Exactly 0 at -inf and
+    1 at +inf; nan raises ValueError.
+    """
     scalar = np.ndim(x) == 0
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     out = _mixture_cdf(gamma, xs, star=True, weight_tol=weight_tol)
+    return float(out[0]) if scalar else out
+
+
+def gstar_cdf_error(gamma: float, x, weight_tol: float = 1e-10):
+    """Error estimate of gstar_cdf(gamma, x, weight_tol) at each x.
+
+    The sum of the mixture weight the term table leaves out (skipped levels,
+    count tails, negligible terms), the ``error`` of each conditional curve it
+    reads times that curve's mixture weight, and, at x above the collapse
+    window, the weight the collapse factors take off.  0 at +-inf, where G*
+    is exact.
+    """
+    scalar = np.ndim(x) == 0
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    table, _ = _mixture_table(gamma, xs, True, weight_tol)
+    curves = math.fsum(
+        float(w.sum()) * wjg_cdf_curve(jj, gamma).error for jj, _, w in table.groups
+    )
+    out = table.skipped + curves + np.where(xs > _COLLAPSE_X_MAX, table.deficit, 0.0)
+    out[np.isinf(xs)] = 0.0
     return float(out[0]) if scalar else out
 
 

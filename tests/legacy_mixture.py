@@ -1,0 +1,56 @@
+"""The per-term G* mixture loop the term table replaced, kept as a test oracle.
+
+``legacy_mixture_cdf`` sums p_j r_j(m) times a shifted conditional curve one
+(j, m) term at a time, with one ``r_weight`` call and one ``CdfCurve.eval``
+per term, in increasing j then m.  It reads the curves through the package's
+``wjg_cdf_curve`` and shares no other code with the term table.
+"""
+
+import math
+
+import numpy as np
+
+from petersburg.limitlaw import p_weight, r_weight, wjg_cdf_curve
+
+__all__ = ["legacy_mixture_cdf"]
+
+
+def _collapse_cut(gamma, x_hi):
+    need = gamma * (x_hi + 104.0)
+    return max(2, math.ceil(math.log2(need)) + 1)
+
+
+def legacy_mixture_cdf(gamma, xs, star, weight_tol=1e-10):
+    """G* (star=True) or the untrimmed mixture (star=False) at finite xs."""
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    finite_hi = float(xs.max()) if xs.size else 0.0
+    x_hi = min(max(finite_hi, 64.0), 4096.0)
+    s_cut = _collapse_cut(gamma, x_hi)
+    acc = np.zeros_like(xs)
+    used = 0.0
+    for j in range(-8, 64):
+        pj = p_weight(j, gamma)
+        if pj < weight_tol:
+            if j > 4 and used > 1.0 - 1e-9:
+                break
+            continue
+        jj = j - 1
+        if jj > s_cut:
+            curve = wjg_cdf_curve(s_cut, gamma)
+            factor = math.exp(-gamma * (math.ldexp(1.0, -s_cut) - math.ldexp(1.0, -jj)))
+        else:
+            curve = wjg_cdf_curve(jj, gamma)
+            factor = 1.0
+        step = math.ldexp(1.0, j) / gamma
+        cum = 0.0
+        m = 1
+        while cum < 1.0 - 1e-12 and m < 400:
+            rw = r_weight(j, gamma, m)
+            cum += rw
+            shift = (m - 1) * step if star else m * step
+            if rw * factor > 1e-15:
+                if finite_hi - shift >= curve.x0:
+                    acc += (pj * rw * factor) * curve.eval(xs - shift)
+            m += 1
+        used += pj
+    return acc

@@ -4,6 +4,7 @@ shapes, exit codes, and the repro-all harness."""
 import argparse
 import hashlib
 import json
+import math
 import os
 
 import numpy as np
@@ -162,6 +163,11 @@ def test_asym_tail_csv(capsys):
     doc = json.loads(out)
     assert doc["inner_backend"] == "exact" and "inner_ci" not in doc
     assert run(capsys, "asym-tail", "--n", "4", "--x", "100", "--mc-reps", "5")[0] == 2
+    # x^(r+1) leaves the float range here; the power term is exact and underflows
+    rc, out, _ = run(capsys, "asym-tail", "--n", "32", "--r", "2", "--x", "1e308")
+    assert rc == 0
+    doc = json.loads(out)
+    assert all(math.isfinite(doc[k]) for k in ("leading", "correction", "inner_prob", "value"))
 
 
 def test_finer_as_pinned(capsys):
@@ -214,6 +220,21 @@ def test_gstar_cdf_curve(capsys):
     lines = out.strip().split("\n")
     assert lines[0] == "x,value,error_estimate,backend"
     assert all(ln.endswith(",series") for ln in lines[1:])
+    # the error column is the mixture's own estimate, above --weight-tol
+    rc, out, _ = run(capsys, "gstar-cdf", "--gamma", "0.75", "--x-lin=0:5000:3")
+    rows = [ln.split(",") for ln in out.strip().split("\n")[1:]]
+    xs = np.array([float(r[0]) for r in rows])
+    errs = [float(r[2]) for r in rows]
+    assert errs == list(limitlaw.gstar_cdf_error(0.75, xs))
+    assert 1e-10 < errs[0] == errs[1] < errs[2]
+
+
+def test_gstar_cdf_edges(capsys):
+    rc, _, err = run(capsys, "gstar-cdf", "--gamma", "0.75", "--x", "nan")
+    assert rc == 2 and "x must not be nan" in err
+    for x, want in (("inf", 1.0), ("-inf", 0.0)):
+        rc, out, _ = run(capsys, "gstar-cdf", "--gamma", "0.75", f"--x={x}")
+        assert rc == 0 and json.loads(out)["value"] == want
 
 
 def test_sample_y_output_shape(capsys):
@@ -307,6 +328,25 @@ def test_merge_check_frozen_seed(capsys, monkeypatch):
     tol = 2.0 * max(c.error for c in used)
     assert tol < 1e-9
     assert json.loads(out)["ks"] == pytest.approx(0.05349497137572723, rel=0, abs=tol)
+
+
+def test_trimmed_merge_check_reads_curves_when_warm(capsys, monkeypatch):
+    # the term table holds curve indices, not curves: a warm run still reads
+    # every curve through wjg_cdf_curve
+    argv = ("trimmed-merge-check", "--n", "64", "--reps", "2000", "--seed", "3")
+    rc, first, _ = run(capsys, *argv)
+    assert rc == 0
+    used = []
+    build = limitlaw.wjg_cdf_curve
+
+    def recording(j, gamma):
+        used.append((j, gamma))
+        return build(j, gamma)
+
+    monkeypatch.setattr(limitlaw, "wjg_cdf_curve", recording)
+    rc, second, _ = run(capsys, *argv)
+    assert rc == 0 and second == first
+    assert len(set(used)) >= 10
 
 
 def test_max_check_csv(capsys):

@@ -6,13 +6,17 @@ here each piece is pinned against an independent small computation.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp, norm
 
+from legacy_mixture import legacy_mixture_cdf
 from oracle_reference import series_y_direct
+from petersburg import limitlaw
 from petersburg.limitlaw import (
+    CdfCurve,
     InversionError,
     a_const,
     cdf_from_cf,
@@ -25,6 +29,7 @@ from petersburg.limitlaw import (
     curve_moments,
     gmix_cdf,
     gstar_cdf,
+    gstar_cdf_error,
     invert_cf_curve,
     log_cf_f,
     p_weight,
@@ -160,6 +165,77 @@ def test_gstar_cdf_shape():
     assert vals[0] >= 0.0
     assert vals[-1] <= 1.0
     assert vals[-1] > 0.99
+
+
+@pytest.mark.parametrize("gamma", [0.5, 0.6, 0.75, 0.9, 1.0])
+def test_term_table_matches_legacy_loop(gamma):
+    # the cached term table sums the same terms as the per-(j, m) loop, only
+    # grouped per conditional curve, so the floats move by rounding alone
+    inputs = [(1.3, 1e-10), (np.linspace(-4.0, 40.0, 2000), 1e-10),
+              (np.linspace(-4.0, 1900.0, 2000), 1e-10), (np.linspace(-2.0, 12.0, 57), 1e-6)]
+    for x, tol in inputs:
+        for star, fn in ((True, gstar_cdf), (False, gmix_cdf)):
+            got = fn(gamma, x, weight_tol=tol)
+            want = legacy_mixture_cdf(gamma, x, star, tol)
+            assert np.ndim(got) == np.ndim(x)
+            assert float(np.max(np.abs(got - want))) <= 1e-13
+    assert gstar_cdf(gamma, np.array([])).shape == (0,)
+    assert gmix_cdf(gamma, []).shape == (0,)
+
+
+def test_gstar_edges_warn_nothing():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert gstar_cdf(0.75, math.inf) == 1.0
+        assert gstar_cdf(0.75, -math.inf) == 0.0
+        assert list(gstar_cdf(0.75, [-math.inf, math.inf])) == [0.0, 1.0]
+        assert gstar_cdf(0.75, -1e300) == 0.0
+        far = gstar_cdf(0.75, 1e300)
+        assert 1.0 - gstar_cdf_error(0.75, 1e300) <= far < 1.0
+        assert gstar_cdf_error(0.75, math.inf) == 0.0
+        curve = wjg_cdf_curve(0, 0.75)
+        assert list(curve.eval(np.array([-1e308, 1e308, -math.inf, math.inf]))) == [0, 1, 0, 1]
+        for fn in (gstar_cdf, gmix_cdf, gstar_cdf_error):
+            with pytest.raises(ValueError, match="x must not be nan"):
+                fn(0.75, [1.0, math.nan])
+
+
+def test_gstar_error_covers_what_the_mixture_leaves_out():
+    g, tol = 0.75, 1e-10
+    xs = np.linspace(-4.0, 40.0, 45)
+    err = gstar_cdf_error(g, xs, tol)
+    # the skipped levels alone weigh 2.1e-10 here, more than weight_tol
+    assert np.all(err > 2e-10)
+    assert float(np.max(np.abs(gstar_cdf(g, xs, tol) - gstar_cdf(g, xs, 1e-14)))) <= err.min()
+    # above the collapse window the collapse factors' deficit joins in
+    far = np.array([100.0, 5000.0, 1e300])
+    err_far = gstar_cdf_error(g, far, tol)
+    assert err_far[0] < 1e-9 < err_far[1] == err_far[2]
+    assert 1.0 - gstar_cdf(g, 1e300, tol) <= err_far[2]
+
+
+def test_curve_caches_are_bounded(monkeypatch):
+    # stand-in curves keep the sweep cheap; the caches are emptied afterwards
+    # so no stand-in outlives the test
+    stub = CdfCurve(x0=-60.0, dx=1.0, cdf=np.linspace(0.0, 1.0, 121),
+                    density=np.full(121, 1.0 / 120.0), error=0.0)
+    monkeypatch.setattr(limitlaw, "invert_cf_curve", lambda *args, **kwargs: stub)
+    caches = (limitlaw._wjg_curve, limitlaw._wgamma_curve, limitlaw._term_table)
+    try:
+        gammas = np.linspace(0.6, 0.9, 2 * limitlaw._TABLE_CACHE_SIZE)
+        for g in gammas:
+            gstar_cdf(float(g), 1.0)
+        for j in range(limitlaw._WJG_CACHE_SIZE + 1):
+            wjg_cdf_curve(j % 50, 0.5 + j / 1e4)
+        for g in gammas[: limitlaw._WG_CACHE_SIZE + 1]:
+            wgamma_cdf_curve(float(g))
+        for c in caches:
+            info = c.cache_info()
+            assert info.misses > info.maxsize >= info.currsize
+        assert limitlaw._wjg_curve.cache_info().currsize == limitlaw._WJG_CACHE_SIZE
+    finally:
+        for c in caches:
+            c.cache_clear()
 
 
 def test_sample_y_deterministic_and_shaped():
