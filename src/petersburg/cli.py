@@ -7,8 +7,10 @@ PETERSBURG_THREADS variable) must be >= 1 but is advisory only and never
 changes results.
 
 Exit codes: 0 success, 2 invalid flag value (the message names the flag),
-3 numeric non-convergence.  Output files are written atomically, so a
-failing run leaves no partial file behind.
+3 a limit-law curve cannot answer (its inversion failed, or a W_gamma point
+lies above the curve's window).  JSON is strict: non-finite floats print as
+the strings "inf", "-inf" and "nan".  Output files are written atomically,
+so a failing run leaves no partial file behind.
 """
 
 from __future__ import annotations
@@ -41,11 +43,8 @@ from petersburg.exact import (
 from petersburg.limitlaw import (
     InversionError,
     a_const,
-    cdf_from_cf,
     centering,
     centering_closed,
-    cf_Wgamma,
-    cf_Wjgamma,
     chernoff_bound,
     chernoff_h,
     gstar_cdf,
@@ -85,7 +84,18 @@ __all__ = ["main"]
 
 
 def _jdump(obj) -> str:
-    return json.dumps(obj, separators=(",", ":")) + "\n"
+    return json.dumps(_strict(obj), separators=(",", ":"), allow_nan=False) + "\n"
+
+
+def _strict(v):
+    # JSON has no inf or nan: they print as the strings "inf", "-inf", "nan"
+    if isinstance(v, float) and not math.isfinite(v):
+        return repr(float(v))
+    if isinstance(v, dict):
+        return {k: _strict(u) for k, u in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_strict(u) for u in v]
+    return v
 
 
 def _csv(header: str, rows) -> str:
@@ -275,26 +285,31 @@ def _cmd_gen_tail(args) -> int:
 
 
 def _cmd_limit_cdf(args) -> int:
-    if args.backend != "auto" and args.j is None:
-        raise ValueError("--backend applies only together with --j")
-    if args.j is not None:
-        cf = lambda t: cf_Wjgamma(args.j, args.gamma, t, backend=args.backend)
-    else:
-        cf = lambda t: cf_Wgamma(args.gamma, t)
     if args.x_lin is not None:
         xs = _parse_lin(args.x_lin, "--x-lin")
-        curve = wjg_cdf_curve(args.j, args.gamma) if args.j is not None \
-            else wgamma_cdf_curve(args.gamma)
-        vals = curve.eval(xs)
-        rows = [(float(x), float(v), curve.error, "fft") for x, v in zip(xs, vals)]
-        _emit(args, _csv("x,value,error_estimate,backend", rows))
-        return 0
-    if args.x is None:
+    elif args.x is not None:
+        xs = np.array([args.x])
+    else:
         raise ValueError("--x or --x-lin is required")
-    res = cdf_from_cf(cf, args.x, tol=args.tol)
-    _emit(args, _jdump({"j": args.j, "gamma": args.gamma, "x": args.x,
-                        "value": res.value, "error_estimate": res.error,
-                        "backend": "quadrature"}))
+    if np.isnan(xs).any():
+        raise ValueError("x must not be nan")
+    if args.j is not None:
+        curve = wjg_cdf_curve(args.j, args.gamma)
+    else:
+        curve = wgamma_cdf_curve(args.gamma)
+        # the W_gamma tail is ~1/x, so the clamp to 1 past the window is no
+        # answer; W_{j,gamma} tails are superexponential and may clamp
+        top = curve.x0 + curve.dx * (len(curve.cdf) - 1)
+        if np.any((xs > top) & np.isfinite(xs)):
+            raise InversionError(f"x lies above the W_gamma curve's window top {top!r}")
+    vals = curve.eval(xs)
+    if args.x_lin is None:
+        _emit(args, _jdump({"j": args.j, "gamma": args.gamma, "x": args.x,
+                            "value": float(vals[0]), "error_estimate": curve.error,
+                            "backend": "fft"}))
+        return 0
+    rows = [(float(x), float(v), curve.error, "fft") for x, v in zip(xs, vals)]
+    _emit(args, _csv("x,value,error_estimate,backend", rows))
     return 0
 
 
@@ -568,13 +583,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_gen_tail)
 
     sp = sub.add_parser("limit-cdf", parents=[common],
-                        help="semistable limit CDF, pointwise or on a grid")
+                        help="semistable limit CDF from its FFT curve, at a point or on a grid")
     sp.add_argument("--gamma", type=float, required=True)
     sp.add_argument("--j", type=int, default=None)
     sp.add_argument("--x", type=float, default=None)
     sp.add_argument("--x-lin", help="grid spec lo:hi:count (write --x-lin=-2:6:9 for negative lo)")
-    sp.add_argument("--tol", type=float, default=1e-10)
-    sp.add_argument("--backend", choices=("auto", "taylor", "atoms"), default="auto")
     sp.set_defaults(func=_cmd_limit_cdf)
 
     sp = sub.add_parser("gstar-cdf", parents=[common],
@@ -723,7 +736,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InversionError as exc:
-        print(f"error: inversion did not converge: {exc}", file=sys.stderr)
+        print(f"error: curve inversion: {exc}", file=sys.stderr)
         return 3
 
 

@@ -225,11 +225,11 @@ def two_sum_tail_closed(k: int, ell: int) -> DyadicProb:
     return DyadicProb(num, 2 * ell)
 
 
-def enum_oracle(n: int, r: int, x, max_level: int = None, params: GameParams = CLASSICAL):
+def enum_oracle(n: int, r: int, x, params: GameParams = CLASSICAL):
     """Small-n cross-check by multiset enumeration over payoff levels.
 
-    Levels above max_level are pooled into one atom whose payoff exceeds x, so
-    the default cutoff makes the enumeration exact.  Classical input returns a
+    Levels high enough that every payoff above them exceeds x are pooled into
+    one atom, so the enumeration stays exact.  Classical input returns a
     DyadicProb; generalized input returns a float (exact rational arithmetic
     when alpha == 1, careful float summation otherwise).
     """
@@ -242,13 +242,11 @@ def enum_oracle(n: int, r: int, x, max_level: int = None, params: GameParams = C
 
     if params.is_classical:
         xf = math.floor(x)
-        kmax = max_level if max_level is not None else max(int(xf).bit_length(), 1)
+        kmax = max(int(xf).bit_length(), 1)
         payoffs = [Fraction(2) ** k for k in range(1, kmax + 1)]
         probs = [Fraction(1, 2**k) for k in range(1, kmax + 1)]
         payoffs.append(Fraction(2) ** (kmax + 1))
         probs.append(Fraction(1, 2**kmax))
-        if payoffs[-1] <= xf:
-            raise ValueError(f"max_level={kmax} pools levels that do not exceed x={x}")
         total = _enum_multisets(n, r, Fraction(xf), payoffs, probs)
         return DyadicProb.from_fraction(total)
 
@@ -263,14 +261,9 @@ def enum_oracle(n: int, r: int, x, max_level: int = None, params: GameParams = C
         pv = params.p
         xv = float(x)
         pay = params.payoff
-    if max_level is None:
-        kmax = 1
-        while pay(kmax + 1) <= xv:
-            kmax += 1
-    else:
-        kmax = max_level
-        if pay(kmax + 1) <= xv:
-            raise ValueError(f"max_level={kmax} pools levels that do not exceed x={x}")
+    kmax = 1
+    while pay(kmax + 1) <= xv:
+        kmax += 1
     payoffs = [pay(k) for k in range(1, kmax + 2)]
     probs = [q ** (k - 1) * pv for k in range(1, kmax + 1)]
     probs.append(q**kmax)  # pooled tail mass of levels > kmax

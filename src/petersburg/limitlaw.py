@@ -1,11 +1,11 @@
 """Semistable limit laws of St. Petersburg sums.
 
 Covers the merging weights, characteristic functions of the conditional limit
-W_{j,gamma} and the full limit W_gamma, numeric CDF inversion (pointwise
-Gil-Pelaez quadrature and batched FFT curves), the trimmed limit law G*, the
-series sampler for the a.s.-convergent trimmed-limit series Y_{r,gamma}, its
-tail asymptote, centering sequences, the digit constant xi, and the Chernoff
-bound for the conditional limit.
+W_{j,gamma} and the full limit W_gamma, numeric CDF inversion (batched FFT
+curves, with pointwise Gil-Pelaez quadrature as their oracle), the trimmed
+limit law G*, the series sampler for the a.s.-convergent trimmed-limit series
+Y_{r,gamma}, its tail asymptote, centering sequences, the digit constant xi,
+and the Chernoff bound for the conditional limit.
 
 Conventions: eta = 2^j / gamma; {log2 x} = 0 at exact powers of two, matching
 stpdist.psi; all dyadic scalings go through ldexp/frexp so they are exact.
@@ -20,12 +20,10 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.integrate import quad, simpson
 
-from petersburg.stpdist import floor_log2, frac_log2, gamma_n, psi, seed_blocks
+from petersburg.stpdist import floor_log2, gamma_n, seed_blocks
 
 __all__ = [
-    "LevyAtomSeries",
     "CdfCurve",
     "InversionError",
     "InvertedCdf",
@@ -54,28 +52,7 @@ __all__ = [
 
 
 class InversionError(RuntimeError):
-    """CF inversion could not meet its accuracy budget."""
-
-
-@dataclass(frozen=True)
-class LevyAtomSeries:
-    """Dyadic Levy atoms 2^i/gamma with masses gamma*2^-i, i ranging over a
-    finite window (cut at i <= j for the conditional law)."""
-
-    locations: np.ndarray
-    masses: np.ndarray
-    i_low: int
-    i_high: int
-
-    @classmethod
-    def build(cls, gamma: float, i_low: int, i_high: int) -> "LevyAtomSeries":
-        i = np.arange(i_low, i_high + 1)
-        return cls(
-            locations=np.ldexp(1.0, i) / gamma,
-            masses=gamma * np.ldexp(1.0, -i),
-            i_low=i_low,
-            i_high=i_high,
-        )
+    """CF inversion could not meet its accuracy or grid-size budget."""
 
 
 def _check_merging_gamma(gamma: float):
@@ -227,9 +204,10 @@ def cf_Wgamma(gamma: float, t):
     bits = max(0, math.ceil(math.log2(1.0 + tmax)))
     i_high = 60 + bits  # large atoms: term mass ~ gamma 2^-i
     i_low = -(64 + 2 * bits)  # small atoms: term ~ t^2 2^i / gamma
-    series = LevyAtomSeries.build(gamma, i_low, i_high)
+    i = np.arange(i_low, i_high + 1)
+    x = np.ldexp(1.0, i) / gamma  # dyadic Levy atoms 2^i/gamma
+    masses = gamma * np.ldexp(1.0, -i)  # with masses gamma 2^-i
     shift = -math.log2(gamma) + u_gamma_const(gamma)
-    x = series.locations
     comp = x / (1.0 + x * x)
     out = np.empty(t.shape, dtype=complex)
     step = 65536
@@ -238,7 +216,7 @@ def cf_Wgamma(gamma: float, t):
         z = np.multiply.outer(ts, x)
         real = -2.0 * np.square(np.sin(0.5 * z))
         imag = np.sin(z) - np.multiply.outer(ts, comp)
-        out[a : a + step] = np.exp((real + 1j * imag) @ series.masses + 1j * ts * shift)
+        out[a : a + step] = np.exp((real + 1j * imag) @ masses + 1j * ts * shift)
     return complex(out[0]) if scalar else out
 
 
@@ -271,7 +249,7 @@ def cdf_from_cf(cf: Callable, x: float, tol: float = 1e-10) -> InvertedCdf:
         return cf(t).real / t if t != 0.0 else 0.0
 
     import warnings
-    from scipy.integrate import IntegrationWarning
+    from scipy.integrate import IntegrationWarning, quad
 
     # Im(cf)/t can oscillate at every dyadic scale down to t = 0 (semistable
     # log-periodicity) and grow like log(1/t) for infinite-mean laws; in the
@@ -327,10 +305,6 @@ class CdfCurve:
     density: np.ndarray
     error: float
 
-    @property
-    def xs(self) -> np.ndarray:
-        return self.x0 + self.dx * np.arange(len(self.cdf))
-
     def eval(self, x):
         """Cubic Hermite between grid nodes (density = derivative), so the
         interpolation error matches the integration accuracy; clamps to 0/1
@@ -357,16 +331,6 @@ class CdfCurve:
         out = np.where(pos <= 0.0, 0.0, np.where(pos >= n - 1, 1.0, out))
         return np.minimum(np.maximum(out, 0.0), 1.0)
 
-    def ppf(self, u):
-        """Inverse CDF by interpolation on the strictly informative stretch."""
-        c = self.cdf
-        lo = int(np.searchsorted(c, 1e-12))
-        hi = int(np.searchsorted(c, 1.0 - 1e-12))
-        lo = max(lo - 1, 0)
-        hi = min(hi + 1, len(c) - 1)
-        cc, idx = np.unique(c[lo : hi + 1], return_index=True)
-        return np.interp(u, cc, self.xs[lo : hi + 1][idx])
-
 
 def invert_cf_curve(cf: Callable, lo: float, hi: float, n_points: int, max_points: int = 1 << 21) -> CdfCurve:
     """FFT inversion of a CF to a density/CDF curve on [lo, hi].
@@ -374,11 +338,15 @@ def invert_cf_curve(cf: Callable, lo: float, hi: float, n_points: int, max_point
     The t-grid step is tied to the window (dt = 2pi/width); n_points doubles
     until |cf(T)| at the top of the t-grid is below 1e-12, which controls the
     ringing of the truncated transform.  Densities are clipped at 0 and the
-    CDF renormalized; both defects are folded into the error estimate.
+    CDF renormalized; both defects are folded into the error estimate.  A
+    request for more than max_points points raises InversionError before any
+    cf evaluation.
     """
     width = hi - lo
     if width <= 0:
         raise ValueError("need hi > lo")
+    if n_points > max_points:
+        raise InversionError(f"curve needs {n_points} grid points, above the {max_points} budget")
     dt = 2.0 * math.pi / width
     n = n_points
     while True:
@@ -470,11 +438,15 @@ def _wgamma_curve(gamma: float, hi: float) -> CdfCurve:
 
 
 def curve_moments(curve: CdfCurve) -> tuple:
-    """(mean, variance) of a density curve via composite Simpson."""
+    """(mean, variance) of a density curve via the trapezoid rule."""
     xs = curve.x0 + curve.dx * np.arange(len(curve.density))
-    m0 = simpson(curve.density, dx=curve.dx)
-    m1 = simpson(curve.density * xs, dx=curve.dx) / m0
-    m2 = simpson(curve.density * (xs - m1) ** 2, dx=curve.dx) / m0
+
+    def integral(y):
+        return curve.dx * (y.sum() - 0.5 * (y[0] + y[-1]))
+
+    m0 = integral(curve.density)
+    m1 = integral(curve.density * xs) / m0
+    m2 = integral(curve.density * (xs - m1) ** 2) / m0
     return float(m1), float(m2)
 
 
@@ -727,10 +699,13 @@ def y_tail_parts(
     ys = np.sort(np.asarray(y0_samples) + a_const(r, gamma))
     n = len(ys)
     fl = floor_log2(gx)
-    leading = psi(gx) ** (r + 1) / (math.factorial(r + 1) * x ** (r + 1))
+    # psi(gx)/x = gamma 2^-fl: the power of x never forms, so nothing overflows
+    leading = math.ldexp(gamma ** (r + 1) / math.factorial(r + 1), -(r + 1) * fl)
     inner = []
     for ell in (0, 1):
-        thr = x - math.ldexp(1.0, fl + ell) / gamma  # x(1 - 2^(ell - frac)) exactly
+        # x(1 - 2^(ell - frac)) = x - 2^(fl + ell)/gamma, halved and doubled
+        # exactly so that 2^(fl + ell) cannot overflow at x near the float max
+        thr = 2.0 * (0.5 * x - math.ldexp(1.0 / gamma, fl + ell - 1))
         inner.append(float(n - np.searchsorted(ys, thr, side="right")) / n)
     scale = float(1 << (r + 1))
     bracket = 1.0 / scale + (scale - 1.0) * (inner[0] + inner[1] / scale)

@@ -6,13 +6,17 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
 
+import petersburg
 from petersburg import limitlaw
 from petersburg.checks import ALL_CHECKS, DEFAULT_CONFIG
-from petersburg.cli import _build_parser, main
+from petersburg.cli import _build_parser, _jdump, main
 from petersburg.montecarlo import SimPlan, simulate_trimmed
 from petersburg.stpdist import gamma_n
 
@@ -45,7 +49,6 @@ MAPPING = {
     "log_cf_f": "limit-cdf",
     "cf_Wjgamma": "limit-cdf",
     "cf_Wgamma": "limit-cdf",
-    "cdf_from_cf": "limit-cdf",
     "gstar_cdf": "gstar-cdf",
     "sample_Y": "sample-y",
     "y_tail_rhs": "y-tail",
@@ -80,7 +83,7 @@ def run(capsys, *argv):
 
 def test_every_operation_has_exactly_one_subcommand():
     subs = _subcommands()
-    assert len(MAPPING) == 38
+    assert len(MAPPING) == 37
     for op, sub in MAPPING.items():
         assert sub in subs, f"{op} points at unknown subcommand {sub}"
     # repro-all drives the named checks rather than a single operation
@@ -191,27 +194,82 @@ def test_gen_tail_value(capsys):
 
 
 def test_limit_cdf_pointwise_and_curve(capsys):
-    rc, out, _ = run(capsys, "limit-cdf", "--gamma", "1.0", "--j", "0",
-                     "--x", "2.0", "--tol", "1e-8")
-    assert rc == 0
-    doc = json.loads(out)
-    assert doc["backend"] == "quadrature"
-    assert doc["error_estimate"] <= 1e-8
-    rc, out, _ = run(capsys, "limit-cdf", "--gamma", "1.0", "--j", "0",
-                     "--x-lin=-2:6:5")
-    assert rc == 0
-    lines = out.strip().split("\n")
-    assert lines[0] == "x,value,error_estimate,backend"
-    assert len(lines) == 6
-    assert all(ln.endswith(",fft") for ln in lines[1:])
-    vals = [float(ln.split(",")[1]) for ln in lines[1:]]
-    assert vals == sorted(vals)
+    # --x reads the same FFT curve as --x-lin: W_{0,1} with --j, W_1 without
+    for j in (("--j", "0"), ()):
+        rc, out, _ = run(capsys, "limit-cdf", "--gamma", "1.0", *j, "--x-lin=-2:6:5")
+        assert rc == 0
+        lines = out.strip().split("\n")
+        assert lines[0] == "x,value,error_estimate,backend"
+        assert len(lines) == 6
+        assert all(ln.endswith(",fft") for ln in lines[1:])
+        vals = [float(ln.split(",")[1]) for ln in lines[1:]]
+        assert vals == sorted(vals)
+        x, value, error, _ = lines[3].split(",")
+        assert x == "2.0"
+        rc, out, _ = run(capsys, "limit-cdf", "--gamma", "1.0", *j, "--x", "2.0")
+        assert rc == 0
+        doc = json.loads(out)
+        assert doc["backend"] == "fft"
+        assert (doc["value"], doc["error_estimate"]) == (float(value), float(error))
+    # W_1 agrees with the independent level-mixture route
+    assert doc["value"] == pytest.approx(limitlaw.gmix_cdf(1.0, 2.0), abs=1e-7)
+    for flag in ("--tol=1e-4", "--backend=atoms"):
+        assert run(capsys, "limit-cdf", "--gamma", "1.0", "--x", "2.0", flag)[0] == 2
 
 
 def test_limit_cdf_tight_budget_exits_3(capsys):
-    rc, _, err = run(capsys, "limit-cdf", "--gamma", "1.0", "--x", "2.0")
-    assert rc == 3
-    assert "inversion" in err
+    # both curves would need far more grid points than the budget: refused
+    # before any cf evaluation
+    for j in ("30", "-40"):
+        start = time.perf_counter()
+        rc, out, err = run(capsys, "limit-cdf", "--gamma", "1.0", "--j", j, "--x-lin=0:1:2")
+        assert time.perf_counter() - start < 1.0
+        assert rc == 3 and out == ""
+        assert "inversion" in err and "grid points" in err
+
+
+def test_limit_cdf_edges(capsys):
+    # the W_1 curve ends near 23170: past it the heavy tail is not clamped
+    rc, out, err = run(capsys, "limit-cdf", "--gamma", "1.0", "--x", "30000")
+    assert rc == 3 and out == "" and "window top 23170." in err
+    rc, _, err = run(capsys, "limit-cdf", "--gamma", "1.0", "--x-lin=0:30000:3")
+    assert rc == 3 and "window top" in err
+    # W_{j,gamma} tails are superexponential, so those curves still clamp
+    rc, out, _ = run(capsys, "limit-cdf", "--gamma", "1.0", "--j", "0", "--x", "1e6")
+    assert rc == 0 and json.loads(out)["value"] == 1.0
+    for x, want in (("inf", 1.0), ("-inf", 0.0)):
+        rc, out, _ = run(capsys, "limit-cdf", "--gamma", "1.0", f"--x={x}")
+        assert rc == 0
+        doc = json.loads(out)
+        assert doc["x"] == x and doc["value"] == want
+    rc, _, err = run(capsys, "limit-cdf", "--gamma", "1.0", "--x", "nan")
+    assert rc == 2 and "x must not be nan" in err
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_json_is_strict(capsys):
+    # non-finite floats print as strings; finite ones as before
+    for x in ("inf", "-inf"):
+        rc, out, _ = run(capsys, "gstar-cdf", "--gamma", "0.75", f"--x={x}")
+        assert rc == 0
+        assert json.loads(out, parse_constant=_reject_constant)["x"] == x
+    doc = {"a": [1.5, float("nan")], "b": (np.float64(-np.inf), 2), "c": None, "d": 0.1}
+    assert _jdump(doc) == '{"a":[1.5,"nan"],"b":["-inf",2],"c":null,"d":0.1}\n'
+    finite = {"x": 0.1, "v": [np.float64(1e-300), 3.0], "j": None}
+    assert _jdump(finite) == json.dumps(finite, separators=(",", ":")) + "\n"
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported only by the quadrature oracle, never on the import path
+    code = ("import sys, petersburg, petersburg.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(petersburg.__file__)))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert res.stdout == "[]\n"
 
 
 def test_gstar_cdf_curve(capsys):
@@ -259,6 +317,12 @@ def test_y_tail_fields(capsys):
     assert doc["a_const"] == 0.0
     assert doc["leading"] == 0.015625
     assert doc["value"] == pytest.approx(doc["leading"] * doc["bracket"], rel=1e-12)
+    # neither x^(r+1) nor 2^(floor(log2 x) + 1) forms, so x near the float max works
+    rc, out, _ = run(capsys, "y-tail", "--gamma", "1", "--x", "1e308", "--r", "2",
+                     "--reps", "10", "--seed", "1")
+    assert rc == 0
+    doc = json.loads(out, parse_constant=_reject_constant)
+    assert all(math.isfinite(doc[k]) for k in ("leading", "inner0", "inner1", "value"))
 
 
 def test_centering_closed_form_only_untrimmed(capsys):

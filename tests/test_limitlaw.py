@@ -40,8 +40,9 @@ from petersburg.limitlaw import (
     wgamma_cdf_curve,
     wjg_cdf_curve,
     xi_and_f,
+    y_tail_parts,
 )
-from petersburg.stpdist import gamma_n
+from petersburg.stpdist import gamma_n, psi
 
 
 def test_p_weight_depends_only_on_rate():
@@ -99,6 +100,22 @@ def test_gaussian_inversion_curve():
     mean, var = curve_moments(curve)
     assert abs(mean) <= 1e-9
     assert var == pytest.approx(1.0, abs=1e-8)
+
+
+def test_curve_builds_are_bounded():
+    # a build above max_points is refused before the cf is ever called
+    cf = lambda t: np.exp(-0.5 * np.asarray(t) ** 2)
+    curve = invert_cf_curve(cf, -10.0, 10.0, 1 << 21)
+    assert abs(float(curve.eval(1.0)) - norm.cdf(1.0)) <= 1e-9
+    calls = []
+
+    def counting(t):
+        calls.append(t)
+        return cf(t)
+
+    with pytest.raises(InversionError, match="grid points"):
+        invert_cf_curve(counting, -10.0, 10.0, 1 << 22)
+    assert calls == []
 
 
 def test_gaussian_pointwise_inversion():
@@ -286,6 +303,16 @@ def test_centering_anchor_and_closed_form():
     assert centering(8, 1.0, 0) == 3.125
     for n, g in ((1, 1.0), (37, 0.8), (513, 0.52), (4096, 1.0)):
         assert centering(n, g, 0) == pytest.approx(centering_closed(n, g), abs=1e-12)
+
+
+def test_y_tail_leading_matches_power_formula():
+    # leading = psi(gamma x)^(r+1) / ((r+1)! x^(r+1)), now formed without powers of x
+    for x in (96.0, 192.0, 3.0 * 2**20):
+        for gamma in (1.0, 0.75):
+            for r in (0, 1, 2):
+                want = psi(gamma * x) ** (r + 1) / (math.factorial(r + 1) * x ** (r + 1))
+                got = y_tail_parts(r, gamma, x, y0_samples=np.zeros(4))["leading"]
+                assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_a_const_values():
