@@ -188,17 +188,23 @@ def _tail(n: int, r: int, x: int) -> DyadicProb:
         bit = x >> k & 1
         absorbed = [0] * (n + 1)  # by items left unplaced
         new: dict = {}
+        # q2 falls as c grows, so every c from the first absorbed one c* on is
+        # absorbed too; states share that tail through their (m, c*) group
+        groups: dict = {}
         for (m, t, q), num in states.items():
             for c in range(m + 1) if k > 1 else (m,):
                 trims = min(t, c)
                 m2, t2 = m - c, t - trims
                 q2 = 2 * q + bit - (c - trims)
-                wt = (num * comb(m, c)) << (sh * c)
                 if q2 < 0:
-                    absorbed[m2] += wt
-                elif 2 * q2 < m2 - t2:
+                    groups[m, c] = groups.get((m, c), 0) + num
+                    break
+                if 2 * q2 < m2 - t2:
                     key = (m2, t2, q2)
-                    new[key] = new.get(key, 0) + wt
+                    new[key] = new.get(key, 0) + ((num * comb(m, c)) << (sh * c))
+        for (m, c_star), num in groups.items():
+            for c in range(c_star, m + 1):
+                absorbed[m - c] += (num * comb(m, c)) << (sh * c)
         states = new
         # an unplaced item lies below level k with mass 1 - 2^-(k-1), over 2^L;
         # Horner in that mass keeps the big products to one per item count

@@ -126,26 +126,52 @@ def _log_cf_f_taylor(eta: float, t: float) -> complex:
     return complex(float(re), float(im))
 
 
-def _log_cf_f_atoms(eta: float, t):
-    # sum_{d>=0} (2^d/eta)(e^(i t eta 2^-d) - 1 - i t eta 2^-d); remainder of
-    # the dropped d > D terms is below t^2 eta 2^-D
-    t = np.asarray(t, dtype=float)
-    tmax = float(np.max(np.abs(t))) if t.size else 0.0
-    D = 2 + max(0, math.ceil(math.log2(max(tmax * tmax * eta, 1e-280)) + 54))
-    D = min(D, 1100)
-    d = np.arange(D + 1)
-    w = np.ldexp(1.0, d) / eta  # 2^d/eta
-    locs = eta * np.ldexp(1.0, -d)
+# Taylor coefficients 1/(k! (1 - 2^(1-k))) of the closed small-atom tail for
+# k = 2..15, even and odd k apart; at |t| q <= _TAIL_CUT the first term left
+# out is below 1e-21 of the sum
+_TAIL_CUT = 0.25
+_TAIL_COEF = [1.0 / (math.factorial(k) * (1.0 - 2.0 ** (1 - k))) for k in range(2, 16)]
+_TAIL_EVEN = _TAIL_COEF[0::2][::-1]
+_TAIL_ODD = _TAIL_COEF[1::2][::-1]
+
+
+def _small_atom_tail(t: np.ndarray, q: float) -> np.ndarray:
+    """sum over the atoms x = q 2^-e, e >= 0, of (e^(itx) - 1 - itx)/x, for
+    |t| q <= 1/4: sum_{k>=2} (it)^k/k! q^(k-1)/(1 - 2^(1-k)), as two Horner
+    polynomials in w = -(tq)^2.  Only tq is formed, never a power of q."""
+    s = t * q
+    w = -s * s
+    re = np.zeros_like(s)
+    im = np.zeros_like(s)
+    for ce, co in zip(_TAIL_EVEN, _TAIL_ODD):
+        re = re * w + ce
+        im = im * w + co
+    return (re * w + 1j * (im * w * s)) / q
+
+
+def _atom_sum(t: np.ndarray, x: np.ndarray, comp: np.ndarray) -> np.ndarray:
+    """sum_i (e^(i t x_i) - 1 - i t comp_i)/x_i over the given atoms, summed
+    through sin in row blocks that bound the (points x atoms) workspace."""
     out = np.empty(t.shape, dtype=complex)
-    step = 32768  # bounds the outer-product workspace
-    flat = t.reshape(-1)
-    of = out.reshape(-1)
-    for a in range(0, flat.size, step):
-        z = np.multiply.outer(flat[a : a + step], locs)
-        real = -2.0 * np.square(np.sin(0.5 * z))
-        imag = np.sin(z) - z
-        of[a : a + step] = (real + 1j * imag) @ w
+    masses = 1.0 / x
+    step = 16384
+    for a in range(0, t.size, step):
+        ts = t[a : a + step]
+        z = np.multiply.outer(ts, x)
+        out[a : a + step].real = (-2.0 * np.square(np.sin(0.5 * z))) @ masses
+        out[a : a + step].imag = (np.sin(z) - np.multiply.outer(ts, comp)) @ masses
     return out
+
+
+def _log_cf_f_atoms(eta: float, t):
+    # sum_{d>=0} (2^d/eta)(e^(i t eta 2^-d) - 1 - i t eta 2^-d): the atoms
+    # eta 2^-d with |t| eta 2^-d > 1/4 for some t one at a time, the rest in
+    # closed form
+    t = np.asarray(t, dtype=float).reshape(-1)
+    tmax = float(np.max(np.abs(t))) if t.size else 0.0
+    d_cut = max(0, math.ceil(math.log2(tmax * eta / _TAIL_CUT))) if tmax > 0.0 else 0
+    x = eta * np.ldexp(1.0, -np.arange(d_cut))
+    return _atom_sum(t, x, x) + _small_atom_tail(t, math.ldexp(eta, -d_cut))
 
 
 def log_cf_f(eta: float, t, backend: str = "auto"):
@@ -164,12 +190,12 @@ def log_cf_f(eta: float, t, backend: str = "auto"):
         tt = float(t)
         if backend == "taylor" or (backend == "auto" and abs(tt) * eta <= 48.0):
             return _log_cf_f_taylor(eta, tt)
-        return complex(_log_cf_f_atoms(eta, np.array([tt]))[0])
+        return complex(_log_cf_f_atoms(eta, tt)[0])
     if backend == "taylor":
         return np.array([_log_cf_f_taylor(eta, float(v)) for v in np.ravel(t)]).reshape(
             np.shape(t)
         )
-    return _log_cf_f_atoms(eta, t)
+    return _log_cf_f_atoms(eta, t).reshape(np.shape(t))
 
 
 def cf_Wjgamma(j: int, gamma: float, t, backend: str = "auto"):
@@ -194,30 +220,47 @@ def u_gamma_const(gamma: float) -> float:
     return a - b
 
 
+@functools.lru_cache(maxsize=256)
+def _wgamma_drift(gamma: float, i_cut: int) -> float:
+    # the shift s_gamma + u_gamma plus the k = 1 terms of the atoms 2^i/gamma,
+    # i <= i_cut, with their compensator: sum x (1 - 1/(1 + x^2)) / x =
+    # sum x^2/(1 + x^2); the terms fall 4x per step, so 100 of them suffice
+    x = [math.ldexp(1.0, i) / gamma for i in range(i_cut - 100, i_cut + 1)]
+    small = math.fsum(v * v / (1.0 + v * v) for v in x)
+    return -math.log2(gamma) + u_gamma_const(gamma) + small
+
+
 def cf_Wgamma(gamma: float, t):
     """CF of the untrimmed merging limit: shift s_gamma + u_gamma plus the
-    two-sided dyadic atom series with the 1/(1+x^2) compensator."""
+    two-sided dyadic atom series with the 1/(1+x^2) compensator.
+
+    Atoms 2^i/gamma with |t| 2^i/gamma > 1/4 for some t are summed one at a
+    time; the smaller ones are a closed moment series and one drift constant.
+    """
     _check_merging_gamma(gamma)
     scalar = np.ndim(t) == 0
     t = np.atleast_1d(np.asarray(t, dtype=float))
     tmax = float(np.max(np.abs(t))) if t.size else 0.0
     bits = max(0, math.ceil(math.log2(1.0 + tmax)))
     i_high = 60 + bits  # large atoms: term mass ~ gamma 2^-i
-    i_low = -(64 + 2 * bits)  # small atoms: term ~ t^2 2^i / gamma
-    i = np.arange(i_low, i_high + 1)
-    x = np.ldexp(1.0, i) / gamma  # dyadic Levy atoms 2^i/gamma
-    masses = gamma * np.ldexp(1.0, -i)  # with masses gamma 2^-i
-    shift = -math.log2(gamma) + u_gamma_const(gamma)
-    comp = x / (1.0 + x * x)
-    out = np.empty(t.shape, dtype=complex)
-    step = 65536
-    for a in range(0, t.size, step):
-        ts = t[a : a + step]
-        z = np.multiply.outer(ts, x)
-        real = -2.0 * np.square(np.sin(0.5 * z))
-        imag = np.sin(z) - np.multiply.outer(ts, comp)
-        out[a : a + step] = np.exp((real + 1j * imag) @ masses + 1j * ts * shift)
+    i_cut = i_high if tmax == 0.0 else min(i_high, floor_log2(gamma * _TAIL_CUT / tmax))
+    x = np.ldexp(1.0, np.arange(i_cut + 1, i_high + 1)) / gamma  # atoms 2^i/gamma
+    log_phi = (_atom_sum(t, x, x / (1.0 + x * x))
+               + _small_atom_tail(t, math.ldexp(1.0, i_cut) / gamma)
+               + 1j * t * _wgamma_drift(gamma, i_cut))
+    out = np.exp(log_phi)
     return complex(out[0]) if scalar else out
+
+
+def _double_wgamma(phi: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """cf_Wgamma at 2t from its value phi at t: 2W = W' + W'' - 2 in law."""
+    return phi * phi * np.exp(-2j * t)
+
+
+def _double_wjg(eta: float, phi: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """CF of W_{j,gamma} (or f_eta) at 2t from its value phi at t: log f_eta(2t)
+    is 2 log f_eta(t) plus the one atom 2 eta of mass 1/(2 eta)."""
+    return phi * phi * np.exp(np.expm1(2j * eta * t) / eta - 2j * t)
 
 
 # ---------------------------------------------------------------------------
@@ -332,15 +375,19 @@ class CdfCurve:
         return np.minimum(np.maximum(out, 0.0), 1.0)
 
 
-def invert_cf_curve(cf: Callable, lo: float, hi: float, n_points: int, max_points: int = 1 << 21) -> CdfCurve:
+def invert_cf_curve(
+    cf: Callable, double: Callable, lo: float, hi: float, n_points: int, max_points: int = 1 << 21
+) -> CdfCurve:
     """FFT inversion of a CF to a density/CDF curve on [lo, hi].
 
     The t-grid step is tied to the window (dt = 2pi/width); n_points doubles
     until |cf(T)| at the top of the t-grid is below 1e-12, which controls the
-    ringing of the truncated transform.  Densities are clipped at 0 and the
-    CDF renormalized; both defects are folded into the error estimate.  A
-    request for more than max_points points raises InversionError before any
-    cf evaluation.
+    ringing of the truncated transform.  cf is evaluated at the odd grid
+    points t_k only; double(phi, t), the law's doubling rule, gives the CF at
+    2t from its value phi at t, which fills k = odd 2^m level by level.
+    Densities are clipped at 0 and the CDF renormalized; both defects are
+    folded into the error estimate.  A request for more than max_points
+    points raises InversionError before any cf evaluation.
     """
     width = hi - lo
     if width <= 0:
@@ -358,7 +405,14 @@ def invert_cf_curve(cf: Callable, lo: float, hi: float, n_points: int, max_point
     if top > 1e-9:
         raise InversionError(f"cf still {top:.2e} at end of t-grid (T={t_top:.1f})")
     t = dt * np.arange(n)
-    phi = np.asarray(cf(t), dtype=complex)
+    phi = np.empty(n, dtype=complex)
+    phi[0] = 1.0
+    phi[1::2] = cf(t[1::2])
+    step = 1
+    while 2 * step < n:
+        dst = phi[2 * step :: 4 * step]
+        dst[:] = double(phi[step :: 2 * step][: dst.size], t[step :: 2 * step][: dst.size])
+        step *= 2
     a = phi * np.exp(-1j * t * lo)
     a[0] *= 0.5  # trapezoid endpoint
     g = (dt / math.pi) * np.real(np.fft.fft(a))
@@ -410,7 +464,8 @@ def _wjg_curve(j: int, gamma: float) -> CdfCurve:
     t_req = 70.0 if eta >= 0.5 else max(70.0, math.sqrt(34.0 / eta))
     dx_target = min(0.02 if eta <= 64.0 else 0.08, sigma / 6.0, 2.0 * math.pi / t_req)
     n = 1 << max(10, math.ceil(math.log2((hi - lo) / dx_target)))
-    return invert_cf_curve(lambda t: cf_Wjgamma(j, gamma, t, backend="atoms"), lo, hi, n)
+    return invert_cf_curve(lambda t: cf_Wjgamma(j, gamma, t, backend="atoms"),
+                           lambda phi, t: _double_wjg(eta, phi, t), lo, hi, n)
 
 
 def wgamma_cdf_curve(gamma: float, hi: float = 24576.0) -> CdfCurve:
@@ -434,7 +489,7 @@ def _wgamma_curve(gamma: float, hi: float) -> CdfCurve:
     lo = -48.0
     dx_target = 2.0 * math.pi / 70.0
     n = 1 << max(12, math.ceil(math.log2((hi_snap - lo) / dx_target)))
-    return invert_cf_curve(lambda t: cf_Wgamma(gamma, t), lo, hi_snap, n)
+    return invert_cf_curve(lambda t: cf_Wgamma(gamma, t), _double_wgamma, lo, hi_snap, n)
 
 
 def curve_moments(curve: CdfCurve) -> tuple:

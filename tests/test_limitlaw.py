@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp, norm
 
+from legacy_cf import legacy_cf_Wgamma, legacy_cf_Wjgamma, legacy_invert_cf_curve
 from legacy_mixture import legacy_mixture_cdf
 from oracle_reference import series_y_direct
 from petersburg import limitlaw
@@ -81,10 +82,39 @@ def test_log_cf_backends_agree():
         assert float(d.max()) <= 1e-12
 
 
+def test_closed_tail_matches_taylor():
+    # scalar atom sums put every atom with |t| x <= 1/4 in the closed tail;
+    # at |t| eta <= 1/4 that is all of them
+    for eta in (0.01, 1.0, 640.0):
+        for u in (1e-3, 0.1, 0.25, 0.3, 1.0, 3.7, 12.0, 47.0):
+            t = u / eta
+            ref = log_cf_f(eta, t, backend="taylor")
+            assert log_cf_f(eta, t, backend="atoms") == pytest.approx(ref, rel=1e-14, abs=1e-300)
+
+
+def test_doubling_rules_match_direct_evaluation():
+    t = np.linspace(0.01, 20.0, 200)
+    for g in (0.5, 0.75, 1.0):
+        got = limitlaw._double_wgamma(cf_Wgamma(g, t), t)
+        assert float(np.max(np.abs(got - cf_Wgamma(g, 2.0 * t)))) <= 1e-14
+    for eta in (0.01, 1.0, 640.0):
+        ts = t / max(eta, 1.0)  # |f| stays well above the rounding floor
+        f = np.exp(log_cf_f(eta, ts))
+        got = limitlaw._double_wjg(eta, f, ts)
+        assert float(np.max(np.abs(got - np.exp(log_cf_f(eta, 2.0 * ts))))) <= 1e-14
+    # the location factor of W_{j,gamma} squares along with f
+    j, g = 3, 0.75
+    got = limitlaw._double_wjg(8.0 / 0.75, cf_Wjgamma(j, g, t), t)
+    assert float(np.max(np.abs(got - cf_Wjgamma(j, g, 2.0 * t)))) <= 1e-14
+
+
 def test_cf_at_zero_and_conjugacy():
     assert log_cf_f(1.0, 0.0) == 0.0
+    assert log_cf_f(1.0, np.array([0.0]), backend="atoms")[0] == 0.0
     assert cf_Wjgamma(0, 1.0, 0.0) == 1.0
-    assert cf_Wgamma(0.75, 0.0) == 1.0
+    for g in (0.5, 0.75, 1.0):
+        assert cf_Wgamma(g, 0.0) == 1.0
+        assert cf_Wgamma(g, np.array([0.0, 0.5, 70.0]))[0] == 1.0
     # cf(-t) is the conjugate of cf(t)
     for t in (0.5, 2.0, 11.0):
         assert cf_Wgamma(1.0, -t) == pytest.approx(np.conj(cf_Wgamma(1.0, t)), rel=1e-12)
@@ -94,7 +124,7 @@ def test_cf_at_zero_and_conjugacy():
 def test_gaussian_inversion_curve():
     # unit-variance Gaussian: closed-form CDF to compare against
     cf = lambda t: np.exp(-0.5 * np.asarray(t) ** 2)
-    curve = invert_cf_curve(cf, -10.0, 10.0, 2048)
+    curve = invert_cf_curve(cf, lambda p, t: p**4, -10.0, 10.0, 2048)
     xs = np.linspace(-6.0, 6.0, 241)
     assert np.abs(curve.eval(xs) - norm.cdf(xs)).max() <= 5e-10
     mean, var = curve_moments(curve)
@@ -105,7 +135,7 @@ def test_gaussian_inversion_curve():
 def test_curve_builds_are_bounded():
     # a build above max_points is refused before the cf is ever called
     cf = lambda t: np.exp(-0.5 * np.asarray(t) ** 2)
-    curve = invert_cf_curve(cf, -10.0, 10.0, 1 << 21)
+    curve = invert_cf_curve(cf, lambda p, t: p**4, -10.0, 10.0, 1 << 21)
     assert abs(float(curve.eval(1.0)) - norm.cdf(1.0)) <= 1e-9
     calls = []
 
@@ -114,7 +144,7 @@ def test_curve_builds_are_bounded():
         return cf(t)
 
     with pytest.raises(InversionError, match="grid points"):
-        invert_cf_curve(counting, -10.0, 10.0, 1 << 22)
+        invert_cf_curve(counting, lambda p, t: p**4, -10.0, 10.0, 1 << 22)
     assert calls == []
 
 
@@ -157,6 +187,65 @@ def test_wgamma_pointwise_matches_curve_loosely():
     for x in (0.0, 1.0, 3.0, 7.0):
         res = cdf_from_cf(lambda t: cf_Wgamma(1.0, t), x, tol=1e-4)
         assert abs(res.value - float(curve.eval(x))) <= 1e-5
+
+
+def _with_legacy_twin(monkeypatch, build, args, legacy_cf):
+    # builds the curve uncached, and the legacy full-grid inversion of the
+    # legacy cf on the window and grid size the build asked for
+    seen = {}
+    real = limitlaw.invert_cf_curve
+
+    def recording(cf, double, lo, hi, n_points):
+        seen.update(lo=lo, hi=hi, n=n_points)
+        return real(cf, double, lo, hi, n_points)
+
+    monkeypatch.setattr(limitlaw, "invert_cf_curve", recording)
+    curve = build.__wrapped__(*args)
+    monkeypatch.undo()
+    return curve, legacy_invert_cf_curve(legacy_cf, seen["lo"], seen["hi"], seen["n"])
+
+
+@pytest.mark.parametrize("hi", [24576.0, 3072.0])
+def test_wgamma_curves_match_legacy(monkeypatch, hi):
+    for g in (0.5, 0.75, 1.0):
+        curve, legacy = _with_legacy_twin(monkeypatch, limitlaw._wgamma_curve, (g, hi),
+                                          lambda t: legacy_cf_Wgamma(g, t))
+        assert curve.cdf.shape == legacy.cdf.shape
+        err = min(curve.error, legacy.error)
+        assert float(np.max(np.abs(curve.cdf - legacy.cdf))) <= err
+        assert float(np.max(np.abs(curve.density - legacy.density))) <= err
+
+
+def test_wjg_curves_match_legacy(monkeypatch):
+    for g in (0.75, 1.0):
+        for j in (-8, -3, 0, 4, 9, 14):
+            curve, legacy = _with_legacy_twin(monkeypatch, limitlaw._wjg_curve, (j, g),
+                                              lambda t: legacy_cf_Wjgamma(j, g, t))
+            assert curve.cdf.shape == legacy.cdf.shape
+            err = min(curve.error, legacy.error)
+            assert float(np.max(np.abs(curve.cdf - legacy.cdf))) <= err
+
+
+def test_wgamma_curve_is_invariant_under_doubling():
+    # 2W = W' + W'' - 2 in law (W', W'' independent copies): the grid
+    # self-convolution of the curve, P{W' + W'' <= z} = int g(a) F(z - a) da on
+    # z = 2 x0 + m dx, against W((z - 2)/2).  The trapezoid sum of that smooth,
+    # vanishing-at-both-ends integrand is spectrally accurate; what is left is
+    # the curve's own discretization.  Its CDF nodes carry the Euler-Maclaurin
+    # residual of a central-difference g' (dx^4 |g'''|/72, plus dx^4 |g'''|/720
+    # from the next order), once in F and once in W, and eval's cubic Hermite
+    # step adds dx^4 |g'''|/384.
+    curve = wgamma_cdf_curve(1.0)
+    assert curve.error <= 1e-10  # 7.9e-12; a large error would void the bound
+    dx, x0 = curve.dx, curve.x0
+    m = int(150.0 / dx)  # z up to 54 reads the curve on [x0, 102] only
+    sums = dx * np.convolve(curve.density[:m], curve.cdf[:m])[:m]
+    z = 2.0 * x0 + dx * np.arange(m)
+    sel = (z >= -4.0) & (z <= 40.0)
+    gap = np.abs(sums[sel] - curve.eval((z[sel] - 2.0) / 2.0))
+    g3 = np.max(np.abs(np.gradient(np.gradient(np.gradient(curve.density[:m], dx), dx), dx)))
+    bound = 2.0 * curve.error + dx**4 * g3 * (2.0 / 72.0 + 2.0 / 720.0 + 1.0 / 384.0)
+    assert float(gap.max()) <= bound  # 6.1e-8 against 1.3e-7 at dx = 0.089
 
 
 def test_wgamma_equals_level_mixture():
