@@ -3,7 +3,8 @@ replaced, kept as a test oracle.
 
 ``legacy_cf_Wgamma`` and ``legacy_log_cf_f_atoms`` sum every dyadic atom
 through ``sin`` up to a fixed truncation; ``legacy_invert_cf_curve`` evaluates
-the CF at every point of the t-grid.  They share no code with the package.
+the CF at every point of the t-grid.  They take only ``CdfCurve``,
+``InversionError`` and the location constant ``u_gamma_const`` from the package.
 """
 
 import math
