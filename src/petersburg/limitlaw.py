@@ -241,8 +241,10 @@ def cf_Wgamma(gamma: float, t):
     scalar = np.ndim(t) == 0
     t = np.atleast_1d(np.asarray(t, dtype=float))
     tmax = float(np.max(np.abs(t))) if t.size else 0.0
-    bits = max(0, math.ceil(math.log2(1.0 + tmax)))
-    i_high = 60 + bits  # large atoms: term mass ~ gamma 2^-i
+    # Atoms past 2^56/gamma are dropped: atom i has mass gamma 2^-i and a log
+    # term of modulus at most 2 + |t| gamma 2^-i, so for |t| < 2^56 they add
+    # less than gamma 2^-56 (2 + 1) < 2^-54 to log phi.
+    i_high = 56
     i_cut = i_high if tmax == 0.0 else min(i_high, floor_log2(gamma * _TAIL_CUT / tmax))
     x = np.ldexp(1.0, np.arange(i_cut + 1, i_high + 1)) / gamma  # atoms 2^i/gamma
     log_phi = (_atom_sum(t, x, x / (1.0 + x * x))

@@ -4,7 +4,8 @@ The classical game doubles a 1-unit stake on every tail before the first head,
 so the payoff is 2^K with P{K = k} = 2^-k.  The generalized game pays q^(-k/alpha)
 with P{K = k} = q^(k-1) * p, q = 1 - p; alpha = 1, p = 1/2 recovers the classical
 game.  Everything here that touches the classical game goes through the float
-exponent field (frexp/ldexp), so dyadic quantities come out exact, not rounded.
+exponent field (frexp/ldexp, or the raw bits when sampling), so dyadic
+quantities come out exact, not rounded.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ __all__ = [
     "sample",
     "sample_levels",
     "sample_truncated_levels",
+    "sample_payoffs",
+    "sample_truncated_payoffs",
     "SEED_BLOCK",
     "seed_blocks",
 ]
@@ -198,13 +201,16 @@ def seed_blocks(seed, reps: int, row_len: int = 1):
     Block i covers replicates [i*SEED_BLOCK, (i+1)*SEED_BLOCK) and draws from
     the i-th child of SeedSequence(seed), so replicate j depends on (seed, j)
     alone, never on reps or batching.  A block comes in sub-blocks of at most
-    2^22 // row_len rows, which bounds a body drawing row_len values per
-    replicate at 2^22 draws at once; each draw passes through several 8-byte
-    temporaries, so a sub-block costs a few hundred MB.  Each body must
-    consume its rng in row order for the stream to stay fixed, which also
-    makes the draws independent of the sub-block size.
+    2^16 // row_len rows, so a body drawing row_len values per replicate holds
+    2^16 draws (512 KB per float64 array) at once, which stays in cache.  A
+    body that consumes its rng in row order draws the same stream whatever
+    the sub-block size.  sample_Y (row_len = 1) does not: its Poisson counts
+    are drawn level by level across a sub-block's rows, so its draws depend
+    on the sub-block, which the cap keeps at the whole 65536-row block, and
+    its prefix promise holds only in whole blocks.  The cap therefore must
+    not go below 2^16.
     """
-    sub = max(1, min(SEED_BLOCK, (1 << 22) // row_len))
+    sub = max(1, min(SEED_BLOCK, (1 << 16) // row_len))
     children = np.random.SeedSequence(seed).spawn((reps + SEED_BLOCK - 1) // SEED_BLOCK)
     for i, ss in enumerate(children):
         rng = np.random.default_rng(ss)
@@ -213,40 +219,79 @@ def seed_blocks(seed, reps: int, row_len: int = 1):
             yield rng, min(sub, b - done)
 
 
-def sample_levels(count: int, rng: np.random.Generator, params: GameParams = CLASSICAL) -> np.ndarray:
+_EXPONENT_MASK = 0x7FF << 52
+_PAYOFF_BIAS = 2046 << 52
+
+
+def _exponent_payoffs(v: np.ndarray) -> np.ndarray:
+    """Overwrite v in (0, 1] with the payoff 2^K, K = min{k : v > 2^-k}.
+
+    With E the biased exponent of v, K = 1023 - E, or 1024 - E when v is an
+    exact power of two, so the payoff's bits are (2046 << 52) - (E << 52),
+    plus 1 << 52 at powers of two.  Subtracting 1 from bits(v) lowers the
+    exponent field by one exactly when the mantissa is zero, which folds that
+    correction in: bits(2^K) = (2046 << 52) - ((bits(v) - 1) & exponent mask).
+    Three in-place integer passes; the result is exact for every normal v.
+    """
+    b = v.view(np.uint64)
+    np.subtract(b, 1, out=b)
+    np.bitwise_and(b, _EXPONENT_MASK, out=b)
+    np.subtract(_PAYOFF_BIAS, b, out=b)
+    return v
+
+
+def payoff_levels(pay: np.ndarray) -> np.ndarray:
+    """Overwrite classical payoffs 2^K with K (int64), read off the exponent field."""
+    b = pay.view(np.uint64)
+    np.right_shift(b, 52, out=b)
+    k = b.view(np.int64)
+    np.subtract(k, 1023, out=k)
+    return k
+
+
+def sample_payoffs(count, rng: np.random.Generator, params: GameParams = CLASSICAL) -> np.ndarray:
+    """Draw payoffs (float64), one per uniform U of rng.random.
+
+    Classical payoffs are the exact powers 2^K, K = min{k : 1 - U > 2^-k},
+    written straight into the exponent field of 1 - U; generalized ones are
+    q^(-K/alpha) with K from sample_levels.
+    """
+    if not params.is_classical:
+        return np.power(params.q, -sample_levels(count, rng, params) / params.alpha)
+    v = rng.random(count)
+    np.subtract(1.0, v, out=v)  # v in (0, 1]
+    return _exponent_payoffs(v)
+
+
+def sample_truncated_payoffs(k: int, count, rng: np.random.Generator) -> np.ndarray:
+    """Classical payoffs conditioned on K <= k: v = 1 - U (1 - 2^-k), read off
+    by the same exponent kernel.  v lies in (2^-k, 1] except at k = 1 for the
+    largest U, 1 - 2^-53, where 1 - U/2 rounds to 1/2 and K = 2."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    v = rng.random(count)
+    np.multiply(v, 1.0 - math.ldexp(1.0, -k), out=v)
+    np.subtract(1.0, v, out=v)
+    return _exponent_payoffs(v)
+
+
+def sample_levels(count, rng: np.random.Generator, params: GameParams = CLASSICAL) -> np.ndarray:
     """Draw level indices K (int64).  Classical atoms are exact: the level is read
     off the binary exponent of 1-U rather than a log transform."""
-    u = rng.random(count)
-    v = 1.0 - u  # v in (0, 1]
     if params.is_classical:
-        m, e = np.frexp(v)
-        # K = min{k : v > 2^-k}; when v is an exact power of two the mantissa
-        # is 1/2 and the exponent overshoots by one.
-        return (1 - e + (m == 0.5)).astype(np.int64)
+        return payoff_levels(sample_payoffs(count, rng))
+    v = 1.0 - rng.random(count)  # v in (0, 1]
     k = np.ceil(np.log(v) / math.log(params.q))
     return np.maximum(k, 1.0).astype(np.int64)
 
 
-def sample_truncated_levels(k: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Classical levels conditioned on K <= k, atom-exact via the same exponent trick."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    u = rng.random(count)
-    v = 1.0 - u * (1.0 - math.ldexp(1.0, -k))  # v in (2^-k, 1]
-    m, e = np.frexp(v)
-    return (1 - e + (m == 0.5)).astype(np.int64)
-
-
-def payoffs_from_levels(levels: np.ndarray, params: GameParams = CLASSICAL) -> np.ndarray:
-    """Map level indices to payoffs; classical uses ldexp so values are exact."""
-    if params.is_classical:
-        return np.ldexp(1.0, levels.astype(np.int64))
-    return np.power(params.q, -levels / params.alpha)
+def sample_truncated_levels(k: int, count, rng: np.random.Generator) -> np.ndarray:
+    """Classical levels conditioned on K <= k, atom-exact via the same exponent kernel."""
+    return payoff_levels(sample_truncated_payoffs(k, count, rng))
 
 
 def sample(params: GameParams, count: int, seed) -> np.ndarray:
     """Seeded i.i.d. payoff draws."""
     if count < 0:
         raise ValueError("count must be >= 0")
-    rng = np.random.default_rng(seed)
-    return payoffs_from_levels(sample_levels(count, rng, params), params)
+    return sample_payoffs(count, np.random.default_rng(seed), params)

@@ -5,7 +5,10 @@ arithmetic.  Deliberately shares no code with the package: levels are raw
 product tuples (no multiset/multinomial shortcut), probabilities and payoffs
 are exact rationals.  Used to freeze fixture values for the fast engines.
 The series sampler materializes every Poisson arrival, as a law oracle for
-the block sampler behind ``limitlaw.sample_Y``.
+the block sampler behind ``limitlaw.sample_Y``.  ``frexp_levels`` is the
+mantissa/exponent formula the classical samplers used before they read the
+payoff off the raw exponent bits, kept as their oracle; ``FixedUniforms``
+feeds those samplers chosen uniforms in place of a Generator.
 """
 
 from fractions import Fraction
@@ -13,7 +16,8 @@ from itertools import product
 
 import numpy as np
 
-__all__ = ["classical_trimmed_tail", "general_trimmed_tail", "general_single_tail", "series_y_direct"]
+__all__ = ["classical_trimmed_tail", "general_trimmed_tail", "general_single_tail", "series_y_direct",
+           "frexp_levels", "FixedUniforms"]
 
 
 def classical_trimmed_tail(n: int, r: int, x: int) -> Fraction:
@@ -87,6 +91,23 @@ def series_y_direct(r: int, gamma: float, truncation: int, reps: int, rng) -> np
         z = np.cumsum(rng.standard_exponential((min(rows, reps - lo), truncation)), axis=1)
         out[lo : lo + rows] = psi_over(z[:, r:]).sum(axis=1) - center
     return out
+
+
+def frexp_levels(v) -> np.ndarray:
+    """K = min{k : v > 2^-k} for v in (0, 1], through frexp: v = m 2^e with m in
+    [1/2, 1), so K = 1 - e, plus one when v is an exact power of two (m = 1/2)."""
+    m, e = np.frexp(v)
+    return (1 - e + (m == 0.5)).astype(np.int64)
+
+
+class FixedUniforms:
+    """Stands in for a Generator whose random() hands out the given uniforms."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, shape):
+        return self.u.reshape(shape).copy()
 
 
 def _enumerate(n, r, x, payoffs, probs) -> Fraction:

@@ -354,6 +354,14 @@ def test_sample_y_deterministic_and_shaped():
     assert np.all(np.isfinite(a))
 
 
+def test_sample_y_prefix_holds_in_whole_blocks():
+    # the Poisson counts are drawn level by level across a block's rows, so a
+    # partial last block depends on reps; whole 65536-row blocks do not
+    a = sample_Y(0, 1.0, truncation=500, reps=65536, seed=1)
+    b = sample_Y(0, 1.0, truncation=500, reps=70_000, seed=1)
+    assert np.array_equal(a, b[:65536])
+
+
 def test_sample_y_matches_gstar_distribution():
     # removing the top jump and the drift constant leaves the gstar law
     ys = sample_Y(1, 1.0, truncation=2000, reps=40_000, seed=21)

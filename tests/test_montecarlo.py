@@ -6,6 +6,8 @@ import hashlib
 import numpy as np
 import pytest
 
+from oracle_reference import FixedUniforms, frexp_levels
+from petersburg import montecarlo
 from petersburg.exact import trimmed_tail_exact
 from petersburg.limitlaw import sample_Y
 from petersburg.montecarlo import (
@@ -78,8 +80,10 @@ def _fig1_raw():
 
 # SHA-256 of each sampler's raw output, recorded before the samplers shared
 # one seed-block loop.  reps = 70_000 spans two seed blocks; n = 1024 with
-# reps = 40_000 runs its one block as ten sub-blocks of at most 2^22 draws
-# (two of 2^25 when recorded), so the sub-block size cannot move a draw.
+# reps = 40_000 runs its one block as 625 sub-blocks of 2^16 draws (two of
+# 2^25 when recorded), so the sub-block size cannot move a draw.  The
+# classical digests were recorded with the frexp level formula, before the
+# payoffs were read off the raw exponent bits.
 _DRAW_DIGESTS = {
     "trimmed-n3": (
         lambda: _draw_trimmed_sums(SimPlan(n=3, r=1, reps=70_000, master_seed=3)),
@@ -118,6 +122,25 @@ def test_sampler_draws_are_pinned(name):
     draw, digest = _DRAW_DIGESTS[name]
     raw = np.ascontiguousarray(draw())
     assert hashlib.sha256(raw.tobytes()).hexdigest() == digest
+
+
+def test_trimmed_rows_past_2_53_keep_partition_bits(monkeypatch):
+    # r = 1 subtracts the row max from the row sum, which is exact below 2^53;
+    # rows reaching it must come out as the partition sum does.  U = 1 - 2^-53
+    # forces the payoff 2^54, U = 1/2 the payoff 4.
+    top = 1.0 - 2.0**-53
+    u = np.array([[top, top, 0.5, 0.5],
+                  [top, 0.0, 0.0, 0.5],
+                  [0.5, 0.25, 0.0, 0.75]])
+    monkeypatch.setattr(montecarlo, "seed_blocks",
+                        lambda seed, reps, row_len: iter([(FixedUniforms(u), reps)]))
+    got = _draw_trimmed_sums(SimPlan(n=4, r=1, reps=3))
+    pay = np.ldexp(1.0, frexp_levels(1.0 - u))
+    assert pay[0].sum() >= 2.0**53 and pay[1].sum() >= 2.0**53 and pay[2].sum() < 2.0**53
+    want = np.partition(pay, 2, axis=1)[:, :3].sum(axis=1)
+    assert np.array_equal(got, want)
+    # 2^54 + 2^54 + 4 + 4 rounds to 2^55, so the plain difference would lose the 8
+    assert got[0] == 2.0**54 + 8.0 != pay[0].sum() - pay[0].max()
 
 
 def test_centered_mode_rejects_generalized():

@@ -6,20 +6,22 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracle_reference import general_single_tail
+from oracle_reference import FixedUniforms, frexp_levels, general_single_tail
 from petersburg.stpdist import (
     CLASSICAL,
+    _exponent_payoffs,
     GameParams,
     cdf,
     floor_log2,
     frac_log2,
     gamma_n,
-    payoffs_from_levels,
     psi,
     quantile,
     sample,
     sample_levels,
+    sample_payoffs,
     sample_truncated_levels,
+    sample_truncated_payoffs,
     tail,
     truncated_cdf,
     truncated_moment,
@@ -185,7 +187,7 @@ def test_generalized_sample_levels():
         p = GEN.level_prob(k)
         emp = float(np.mean(levels == k))
         assert abs(emp - p) <= 4.0 * math.sqrt(p * (1 - p) / levels.size)
-    pay = payoffs_from_levels(levels[:100], GEN)
+    pay = sample_payoffs(100, np.random.default_rng(11), GEN)
     assert pay == pytest.approx(1.5 ** levels[:100].astype(float), rel=1e-12)
 
 
@@ -198,7 +200,7 @@ def test_sample_levels_accepts_shape():
 def test_classical_payoffs_are_exact_powers():
     rng = np.random.default_rng(9)
     levels = sample_levels(1000, rng)
-    pay = payoffs_from_levels(levels)
+    pay = sample_payoffs(1000, np.random.default_rng(9))
     assert np.array_equal(pay, np.exp2(levels.astype(float)))
 
 
@@ -222,3 +224,43 @@ def test_classical_tail_equals_generalized_formula():
     almost = GameParams(1.0, 0.5 + 1e-15)
     for x in (2.2, 3.0, 17.3, 500.0, 5000.0):
         assert tail(x, almost) == pytest.approx(tail(x), rel=1e-9)
+
+
+def test_exponent_kernel_matches_frexp_oracle_at_powers_of_two():
+    # v = 1, 2^-53 and every 2^-k between, with the float next to each on
+    # either side: the kernel's power-of-two fold-in against frexp's m = 1/2
+    powers = np.ldexp(1.0, -np.arange(0, 54))
+    v = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, 2.0)])
+    v = v[v <= 1.0]
+    levels = frexp_levels(v)
+    pay = _exponent_payoffs(v.copy())
+    assert np.array_equal(pay, np.ldexp(1.0, levels))
+    assert pay.max() == 2.0**54
+
+
+def _check_samplers(u):
+    # sample_levels, sample_payoffs and the truncated samplers all read u
+    # through the exponent kernel; each must equal the frexp formula of its v
+    shape = u.shape
+    want = frexp_levels(1.0 - u)
+    assert np.array_equal(sample_levels(shape, FixedUniforms(u)), want)
+    assert np.array_equal(sample_payoffs(shape, FixedUniforms(u)), np.ldexp(1.0, want))
+    for cap in (1, 2, 10, 53):
+        want = frexp_levels(1.0 - u * (1.0 - 2.0**-cap))
+        assert np.array_equal(sample_truncated_levels(cap, shape, FixedUniforms(u)), want)
+        assert np.array_equal(sample_truncated_payoffs(cap, shape, FixedUniforms(u)),
+                              np.ldexp(1.0, want))
+
+
+def test_samplers_match_frexp_oracle_on_edge_draws():
+    # v = 1 - U on U's 2^-53 grid: every 2^-k and its grid neighbours, down to
+    # v = 2^-53 (U = 1 - 2^-53, the largest uniform)
+    powers = np.ldexp(1.0, -np.arange(0, 54))
+    v = np.concatenate([powers, powers - 2.0**-53, powers + 2.0**-53])
+    u = 1.0 - v[(v > 0.0) & (v <= 1.0)]
+    assert u.min() == 0.0 and u.max() == 1.0 - 2.0**-53
+    _check_samplers(u)
+
+
+def test_samplers_match_frexp_oracle_on_random_draws():
+    _check_samplers(np.random.default_rng(17).random(1 << 20))
