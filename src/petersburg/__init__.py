@@ -1,9 +1,21 @@
-"""St. Petersburg sums: exact tails, asymptotics, semistable limit laws, simulation."""
+"""St. Petersburg sums: exact tails, asymptotics, semistable limit laws, simulation.
+
+The exact, asymptotic and closed-form names load with the package and need
+no numpy.  The limit-law and Monte Carlo names import their modules, and
+numpy with them, on first access.
+"""
+
+import importlib
 
 from petersburg.stpdist import (
     CLASSICAL,
     GameParams,
+    a_const,
     cdf,
+    centering,
+    centering_closed,
+    chernoff_bound,
+    chernoff_h,
     frac_log2,
     floor_log2,
     gamma_n,
@@ -13,11 +25,13 @@ from petersburg.stpdist import (
     tail,
     truncated_cdf,
     truncated_moment,
+    xi_and_f,
 )
 from petersburg.exact import (
     DyadicProb,
     conv_ratio_curve,
     enum_oracle,
+    oscillation_curve_fig2,
     sum_tail_exact,
     trimmed_tail_exact,
     two_sum_tail_closed,
@@ -30,34 +44,29 @@ from petersburg.asymptotics import (
     subexp_limits,
     uniform_bound_rhs,
 )
-from petersburg.limitlaw import (
-    CdfCurve,
-    a_const,
-    centering,
-    centering_closed,
-    cf_Wgamma,
-    cf_Wjgamma,
-    chernoff_bound,
-    chernoff_h,
-    gstar_cdf,
-    log_cf_f,
-    p_weight,
-    r_weight,
-    sample_Y,
-    xi_and_f,
-    y_tail_rhs,
-)
-from petersburg.montecarlo import (
-    EmpiricalTail,
-    SimPlan,
-    chernoff_check,
-    histogram_fig1,
-    max_pmf_check,
-    merge_check,
-    oscillation_curve_fig2,
-    simulate_trimmed,
-    trimmed_merge_check,
-)
+
+# name -> submodule that defines it, imported on first access (PEP 562)
+_LAZY = {
+    **dict.fromkeys(
+        ("CdfCurve", "cf_Wgamma", "cf_Wjgamma", "gstar_cdf", "log_cf_f", "p_weight",
+         "r_weight", "sample_Y", "y_tail_rhs"),
+        "limitlaw",
+    ),
+    **dict.fromkeys(
+        ("EmpiricalTail", "SimPlan", "chernoff_check", "histogram_fig1", "max_pmf_check",
+         "merge_check", "simulate_trimmed", "trimmed_merge_check"),
+        "montecarlo",
+    ),
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+    globals()[name] = value
+    return value
+
 
 __version__ = "0.1.0"
 

@@ -22,8 +22,6 @@ import os
 import sys
 import tempfile
 
-import numpy as np
-
 from petersburg.asymptotics import (
     finer_as_rhs,
     gen_snr_tail_rhs,
@@ -36,40 +34,21 @@ from petersburg.exact import (
     conv_ratio_curve,
     dyadic_grid,
     enum_oracle,
+    oscillation_curve_fig2,
     sum_tail_exact,
     trimmed_tail_exact,
     two_sum_tail_closed,
 )
-from petersburg.limitlaw import (
+from petersburg.stpdist import (
+    CLASSICAL,
+    GameParams,
     InversionError,
     a_const,
+    cdf,
     centering,
     centering_closed,
     chernoff_bound,
     chernoff_h,
-    gstar_cdf,
-    gstar_cdf_error,
-    sample_Y,
-    wgamma_cdf_curve,
-    wjg_cdf_curve,
-    xi_and_f,
-    y_tail_parts,
-)
-from petersburg.montecarlo import (
-    EmpiricalTail,
-    SimPlan,
-    chernoff_check,
-    histogram_fig1,
-    max_pmf_check,
-    merge_check,
-    oscillation_curve_fig2,
-    simulate_trimmed,
-    trimmed_merge_check,
-)
-from petersburg.stpdist import (
-    CLASSICAL,
-    GameParams,
-    cdf,
     frac_log2,
     gamma_n,
     psi,
@@ -78,7 +57,12 @@ from petersburg.stpdist import (
     tail,
     truncated_cdf,
     truncated_moment,
+    xi_and_f,
 )
+
+# The exact and closed-form subcommands need none of numpy, limitlaw or
+# montecarlo; handlers that work on arrays import them, so a cold call of
+# any other subcommand never pays their import.
 
 __all__ = ["main"]
 
@@ -152,7 +136,9 @@ def _parse_dyadic(spec: str, flag: str) -> list:
     return dyadic_grid(m0, m1, ppo)
 
 
-def _parse_lin(spec: str, flag: str) -> np.ndarray:
+def _parse_lin(spec: str, flag: str):
+    import numpy as np
+
     try:
         lo_s, hi_s, count_s = spec.split(":")
         lo, hi, count = float(lo_s), float(hi_s), int(count_s)
@@ -285,6 +271,10 @@ def _cmd_gen_tail(args) -> int:
 
 
 def _cmd_limit_cdf(args) -> int:
+    import numpy as np
+
+    from petersburg.limitlaw import wgamma_cdf_curve, wjg_cdf_curve
+
     if args.x_lin is not None:
         xs = _parse_lin(args.x_lin, "--x-lin")
     elif args.x is not None:
@@ -314,6 +304,8 @@ def _cmd_limit_cdf(args) -> int:
 
 
 def _cmd_gstar_cdf(args) -> int:
+    from petersburg.limitlaw import gstar_cdf, gstar_cdf_error
+
     if args.x_lin is not None:
         xs = _parse_lin(args.x_lin, "--x-lin")
         vals = gstar_cdf(args.gamma, xs, weight_tol=args.weight_tol)
@@ -329,6 +321,8 @@ def _cmd_gstar_cdf(args) -> int:
 
 
 def _cmd_sample_y(args) -> int:
+    from petersburg.limitlaw import sample_Y
+
     ys = sample_Y(args.r, args.gamma, truncation=args.truncation,
                   reps=args.reps, seed=args.seed)
     head = (f"# sample-y r={args.r} gamma={args.gamma!r} "
@@ -339,6 +333,8 @@ def _cmd_sample_y(args) -> int:
 
 
 def _cmd_y_tail(args) -> int:
+    from petersburg.limitlaw import y_tail_parts
+
     parts = y_tail_parts(args.r, args.gamma, args.x, truncation=args.truncation,
                          reps=args.reps, seed=args.seed)
     out = {"r": args.r, "gamma": args.gamma, "x": args.x, "a_const": a_const(args.r, args.gamma)}
@@ -379,6 +375,8 @@ def _cmd_chernoff(args) -> int:
 
 
 def _cmd_mc_sim(args) -> int:
+    from petersburg.montecarlo import EmpiricalTail, SimPlan, simulate_trimmed
+
     params = _params(args)
     if args.x_dyadic is not None and args.x_lin is not None:
         raise ValueError("--x-dyadic and --x-lin are mutually exclusive")
@@ -399,16 +397,22 @@ def _cmd_mc_sim(args) -> int:
 
 
 def _cmd_merge_check(args) -> int:
+    from petersburg.montecarlo import merge_check
+
     _emit(args, _jdump(merge_check(args.n, reps=args.reps, seed=args.seed)))
     return 0
 
 
 def _cmd_trimmed_merge_check(args) -> int:
+    from petersburg.montecarlo import trimmed_merge_check
+
     _emit(args, _jdump(trimmed_merge_check(args.n, reps=args.reps, seed=args.seed)))
     return 0
 
 
 def _cmd_max_check(args) -> int:
+    from petersburg.montecarlo import max_pmf_check
+
     res = max_pmf_check(args.n, j_lo=args.j_lo, j_hi=args.j_hi,
                         reps=args.reps, seed=args.seed)
     rows = [(row["j"], row["empirical"], row["weight"], row["deviation"], row["sigma"])
@@ -418,6 +422,8 @@ def _cmd_max_check(args) -> int:
 
 
 def _cmd_chernoff_check(args) -> int:
+    from petersburg.montecarlo import chernoff_check
+
     xs = tuple(args.x) if args.x else (0.5, 1.0, 2.0, 4.0)
     res = chernoff_check(args.n, args.j, xs=xs, reps=args.reps, seed=args.seed)
     rows = [(row["x"], row["empirical"], row["bound"], row["sigma"], bool(row["violation"]))
@@ -427,6 +433,8 @@ def _cmd_chernoff_check(args) -> int:
 
 
 def _cmd_fig1(args) -> int:
+    from petersburg.montecarlo import histogram_fig1
+
     res = histogram_fig1(n=args.n, reps=args.reps, seed=args.seed,
                          bin_width=args.bin_width)
     edges = res["edges"]

@@ -25,6 +25,7 @@ __all__ = [
     "two_sum_tail_closed",
     "enum_oracle",
     "conv_ratio_curve",
+    "oscillation_curve_fig2",
     "dyadic_grid",
 ]
 
@@ -312,6 +313,29 @@ def conv_ratio_curve(xs) -> list:
         den = Fraction(1, 1 << floor_log2(float(x)))
         out.append((float(x), float(num / den)))
     return out
+
+
+def oscillation_curve_fig2(
+    n: int = 16,
+    m_lo: int = 4,
+    m_hi: int = 14,
+    per_octave: int = 32,
+) -> list:
+    """Rows (x, x*P{S_n > x}) on a log-uniform integer grid, exact backend.
+
+    Every octave includes its endpoints 2^m and 2^(m+1)-1 so the drop across
+    each power of two is visible in the output.
+    """
+    xs = set()
+    for m in range(m_lo, m_hi):
+        base = 1 << m
+        xs.update({base, 2 * base - 1})
+        xs.update(int(round(base * 2.0 ** (i / per_octave))) for i in range(per_octave))
+    rows = []
+    for x in sorted(xs):
+        p = float(sum_tail_exact(n, x))
+        rows.append((float(x), x * p))
+    return rows
 
 
 def dyadic_grid(m0: int, m1: int, per_octave: int) -> list:

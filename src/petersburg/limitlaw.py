@@ -4,8 +4,10 @@ Covers the merging weights, characteristic functions of the conditional limit
 W_{j,gamma} and the full limit W_gamma, numeric CDF inversion (batched FFT
 curves, with pointwise Gil-Pelaez quadrature as their oracle), the trimmed
 limit law G*, the series sampler for the a.s.-convergent trimmed-limit series
-Y_{r,gamma}, its tail asymptote, centering sequences, the digit constant xi,
-and the Chernoff bound for the conditional limit.
+Y_{r,gamma} and its tail asymptote.  The scalar constants (centering
+sequences, A_{r,gamma}, the digit constant xi, the Chernoff bound for the
+conditional limit) and InversionError live in the numpy-free stpdist and are
+re-exported here.
 
 Conventions: eta = 2^j / gamma; {log2 x} = 0 at exact powers of two, matching
 stpdist.psi; all dyadic scalings go through ldexp/frexp so they are exact.
@@ -21,7 +23,18 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from petersburg.stpdist import floor_log2, gamma_n, seed_blocks
+from petersburg.stpdist import (
+    InversionError,
+    a_const,
+    centering,
+    centering_closed,
+    chernoff_bound,
+    chernoff_h,
+    floor_log2,
+    seed_blocks,
+    series_center,
+    xi_and_f,
+)
 
 __all__ = [
     "CdfCurve",
@@ -49,10 +62,6 @@ __all__ = [
     "chernoff_h",
     "chernoff_bound",
 ]
-
-
-class InversionError(RuntimeError):
-    """CF inversion could not meet its accuracy or grid-size budget."""
 
 
 def _check_merging_gamma(gamma: float):
@@ -664,12 +673,6 @@ def _psi_over_arg(vals: np.ndarray, gamma: float) -> np.ndarray:
     return np.ldexp(1.0 / gamma, 1 - e)
 
 
-def series_center(r: int, gamma: float, truncation: int) -> float:
-    """sum_{k=r+1}^N Psi(k/gamma)/k, the deterministic compensator."""
-    ks = np.arange(r + 1, truncation + 1, dtype=float)
-    return math.fsum(_psi_over_arg(ks, gamma))
-
-
 def sample_Y(
     r: int,
     gamma: float,
@@ -686,8 +689,8 @@ def sample_Y(
     truncation keeps the earliest arrivals by taking blocks in order.  This
     turns 10^4 terms into ~10 counts.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be > 0")
+    if not 0.0 < gamma < math.inf:
+        raise ValueError("gamma must be positive and finite")
     if truncation < r + 1:
         raise ValueError("truncation must be >= r + 1")
     if reps < 1:
@@ -723,15 +726,6 @@ def _sample_chunk_block(r, gamma, truncation, b, rng):
         t_lo = hi
         m = m + 1
     raise RuntimeError("block sampler failed to exhaust the truncation budget")
-
-
-def a_const(r: int, gamma: float) -> float:
-    """A_{r,gamma} = sum_{k=1}^r Psi(k/gamma)/k (empty sum for r = 0)."""
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    if r == 0:
-        return 0.0
-    return series_center(0, gamma, r)
 
 
 def y_tail_parts(
@@ -787,95 +781,3 @@ def y_tail_rhs(
 ) -> float:
     """Tail asymptote of the trimmed limit Y_{r,gamma} at x (gamma x >= 2)."""
     return y_tail_parts(r, gamma, x, y0_samples, truncation, reps, seed)["value"]
-
-
-# ---------------------------------------------------------------------------
-# centering and the digit constant
-
-
-def centering(n: int, gamma: float, r: int = 0) -> float:
-    """a_{n,gamma}^(r) = sum_{j=r+1}^n Psi(j/gamma)/j; exact dyadic terms."""
-    if not (0 <= r < n):
-        raise ValueError("need 0 <= r < n")
-    if not (0.0 < gamma <= 1.0):
-        raise ValueError("gamma must lie in (0, 1]")
-    return series_center(r, gamma, n)
-
-
-def centering_closed(n: int, gamma: float) -> float:
-    """Closed form of the untrimmed centering: with m_n = floor(log2((n+1)/gamma)),
-    (n+1)/(gamma 2^m_n) - 1/gamma + sum_{m=1}^{m_n} ceil(gamma 2^m)/(gamma 2^m)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not (0.0 < gamma <= 1.0):
-        raise ValueError("gamma must lie in (0, 1]")
-    m_n = floor_log2((n + 1) / gamma)
-    terms = [(n + 1) / math.ldexp(gamma, m_n) - 1.0 / gamma]
-    for m in range(1, m_n + 1):
-        g2m = math.ldexp(gamma, m)
-        terms.append(math.ceil(g2m) / g2m)
-    return math.fsum(terms)
-
-
-def xi_and_f(gamma: float) -> tuple:
-    """(xi, f) for gamma in (1/2, 1].
-
-    xi(gamma) = 2 - (1/gamma) sum_k k eps_k 2^-k - log2(gamma), where eps are
-    the binary digits of gamma in the representation with infinitely many 1's;
-    floats are exactly dyadic, so the digit sum is evaluated in closed form
-    after flipping the lowest set bit.  f(gamma) is its companion series
-    sum_m (ceil(2^m gamma) - 2^m gamma)/(2^m gamma), a finite sum for dyadic
-    gamma.  They satisfy f = xi + log2(gamma) - 1 + 1/gamma.
-    """
-    if not (0.5 < gamma <= 1.0):
-        raise ValueError("gamma must lie in (1/2, 1]")
-    g = Fraction(gamma)  # exact: floats are dyadic rationals
-    if gamma == 1.0:
-        digit_sum = Fraction(2)  # eps_k = 1 for all k: sum k 2^-k = 2
-    else:
-        den_bits = g.denominator.bit_length() - 1  # gamma = num / 2^den_bits
-        num = g.numerator
-        low = (num & -num).bit_length() - 1  # lowest set bit of the numerator
-        t = den_bits - low  # digit index of the trailing 1 to flip
-        # digits above t keep their value; digit t flips to 0; below t all 1
-        head = sum(
-            Fraction(k, 1 << k) for k in range(1, t) if (num >> (den_bits - k)) & 1
-        )
-        digit_sum = head + Fraction(t + 2, 1 << t)
-    xi = float(2 - digit_sum / g) - math.log2(gamma)
-    # f: terms vanish once 2^m gamma is an integer
-    f_terms = []
-    m = 1
-    while True:
-        g2m = g * (1 << m)
-        if g2m.denominator == 1:
-            break
-        f_terms.append((math.ceil(g2m) - g2m) / g2m)
-        m += 1
-    f = float(sum(f_terms, start=Fraction(0)))
-    return xi, f
-
-
-# ---------------------------------------------------------------------------
-# Chernoff bound for the conditional limit
-
-
-def chernoff_h(x: float) -> float:
-    """(2+x) ln(1+x/2) - x, the exponent of the conditional-limit tail bound;
-    sandwiched between x^2/(4+x) and x^2/2."""
-    if x < 0:
-        raise ValueError("x must be >= 0")
-    return (2.0 + x) * math.log1p(0.5 * x) - x
-
-
-def chernoff_bound(n: int, j: int, gamma: float = None, x: float = 0.0) -> float:
-    """exp(-h(x)/eta) with eta = 2^j/gamma; gamma defaults to gamma_n(n)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if j < 1 - (n - 1).bit_length():
-        raise ValueError("j below the admissible conditioning range for this n")
-    g = gamma_n(n) if gamma is None else gamma
-    if g <= 0:
-        raise ValueError("gamma must be > 0")
-    eta = math.ldexp(1.0, j) / g
-    return math.exp(-chernoff_h(x) / eta)

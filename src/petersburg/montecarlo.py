@@ -15,11 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from petersburg.exact import sum_tail_exact
-from petersburg.limitlaw import centering, chernoff_bound, gstar_cdf, wgamma_cdf_curve
+from petersburg.limitlaw import gstar_cdf, wgamma_cdf_curve
 from petersburg.stpdist import (
     CLASSICAL,
     GameParams,
+    centering,
+    chernoff_bound,
     gamma_n,
     payoff_levels,
     sample_payoffs,
@@ -38,7 +39,6 @@ __all__ = [
     "chernoff_check",
     "histogram_fig1",
     "side_lobe_stats",
-    "oscillation_curve_fig2",
     "calibrate_uniform_bound_c",
 ]
 
@@ -274,29 +274,6 @@ def side_lobe_stats(hist: dict, min_count: int = 0) -> dict:
         "ratio": mass_trim / mass_full if mass_full else 0.0,
         "lobes_untrimmed": lobes,
     }
-
-
-def oscillation_curve_fig2(
-    n: int = 16,
-    m_lo: int = 4,
-    m_hi: int = 14,
-    per_octave: int = 32,
-) -> list:
-    """Rows (x, x*P{S_n > x}) on a log-uniform integer grid, exact backend.
-
-    Every octave includes its endpoints 2^m and 2^(m+1)-1 so the drop across
-    each power of two is visible in the output.
-    """
-    xs = set()
-    for m in range(m_lo, m_hi):
-        base = 1 << m
-        xs.update({base, 2 * base - 1})
-        xs.update(int(round(base * 2.0 ** (i / per_octave))) for i in range(per_octave))
-    rows = []
-    for x in sorted(xs):
-        p = float(sum_tail_exact(n, x))
-        rows.append((float(x), x * p))
-    return rows
 
 
 def calibrate_uniform_bound_c(

@@ -1,4 +1,5 @@
-"""St. Petersburg game distribution: exact cdf/tail/quantile, truncation, sampling.
+"""St. Petersburg game distribution: exact cdf/tail/quantile, truncation, sampling,
+and the closed-form constants of the limit theory built from them.
 
 The classical game doubles a 1-unit stake on every tail before the first head,
 so the payoff is 2^K with P{K = k} = 2^-k.  The generalized game pays q^(-k/alpha)
@@ -6,14 +7,19 @@ with P{K = k} = q^(k-1) * p, q = 1 - p; alpha = 1, p = 1/2 recovers the classica
 game.  Everything here that touches the classical game goes through the float
 exponent field (frexp/ldexp, or the raw bits when sampling), so dyadic
 quantities come out exact, not rounded.
+
+The centering a_{n,gamma}, the constant A_{r,gamma}, the digit constant
+xi(gamma) and the Chernoff exponent are scalar sums of psi-type terms and
+live here rather than in limitlaw, which re-exports them.  Only the samplers
+use numpy, and they import it when called: the exact and closed-form
+subcommands of the CLI never load it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from fractions import Fraction
 
 __all__ = [
     "GameParams",
@@ -34,6 +40,14 @@ __all__ = [
     "sample_truncated_payoffs",
     "SEED_BLOCK",
     "seed_blocks",
+    "InversionError",
+    "series_center",
+    "a_const",
+    "centering",
+    "centering_closed",
+    "xi_and_f",
+    "chernoff_h",
+    "chernoff_bound",
 ]
 
 _LOG_SNAP = 1e-12  # relative snap when a log-derived index sits on an integer
@@ -210,6 +224,8 @@ def seed_blocks(seed, reps: int, row_len: int = 1):
     its prefix promise holds only in whole blocks.  The cap therefore must
     not go below 2^16.
     """
+    import numpy as np
+
     sub = max(1, min(SEED_BLOCK, (1 << 16) // row_len))
     children = np.random.SeedSequence(seed).spawn((reps + SEED_BLOCK - 1) // SEED_BLOCK)
     for i, ss in enumerate(children):
@@ -233,6 +249,8 @@ def _exponent_payoffs(v: np.ndarray) -> np.ndarray:
     correction in: bits(2^K) = (2046 << 52) - ((bits(v) - 1) & exponent mask).
     Three in-place integer passes; the result is exact for every normal v.
     """
+    import numpy as np
+
     b = v.view(np.uint64)
     np.subtract(b, 1, out=b)
     np.bitwise_and(b, _EXPONENT_MASK, out=b)
@@ -242,6 +260,8 @@ def _exponent_payoffs(v: np.ndarray) -> np.ndarray:
 
 def payoff_levels(pay: np.ndarray) -> np.ndarray:
     """Overwrite classical payoffs 2^K with K (int64), read off the exponent field."""
+    import numpy as np
+
     b = pay.view(np.uint64)
     np.right_shift(b, 52, out=b)
     k = b.view(np.int64)
@@ -256,6 +276,8 @@ def sample_payoffs(count, rng: np.random.Generator, params: GameParams = CLASSIC
     written straight into the exponent field of 1 - U; generalized ones are
     q^(-K/alpha) with K from sample_levels.
     """
+    import numpy as np
+
     if not params.is_classical:
         return np.power(params.q, -sample_levels(count, rng, params) / params.alpha)
     v = rng.random(count)
@@ -265,11 +287,17 @@ def sample_payoffs(count, rng: np.random.Generator, params: GameParams = CLASSIC
 
 def sample_truncated_payoffs(k: int, count, rng: np.random.Generator) -> np.ndarray:
     """Classical payoffs conditioned on K <= k: v = 1 - U (1 - 2^-k), read off
-    by the same exponent kernel.  v lies in (2^-k, 1] except at k = 1 for the
-    largest U, 1 - 2^-53, where 1 - U/2 rounds to 1/2 and K = 2."""
+    by the same exponent kernel.  v lies in (2^-k, 1] for k >= 2; at k = 1 the
+    largest U, 1 - 2^-53, would round 1 - U/2 to 1/2 (level 2), so k = 1, whose
+    law is the single payoff 2, fills the draws with 2 after consuming them."""
+    import numpy as np
+
     if k < 1:
         raise ValueError("k must be >= 1")
     v = rng.random(count)
+    if k == 1:
+        v.fill(2.0)
+        return v
     np.multiply(v, 1.0 - math.ldexp(1.0, -k), out=v)
     np.subtract(1.0, v, out=v)
     return _exponent_payoffs(v)
@@ -278,6 +306,8 @@ def sample_truncated_payoffs(k: int, count, rng: np.random.Generator) -> np.ndar
 def sample_levels(count, rng: np.random.Generator, params: GameParams = CLASSICAL) -> np.ndarray:
     """Draw level indices K (int64).  Classical atoms are exact: the level is read
     off the binary exponent of 1-U rather than a log transform."""
+    import numpy as np
+
     if params.is_classical:
         return payoff_levels(sample_payoffs(count, rng))
     v = 1.0 - rng.random(count)  # v in (0, 1]
@@ -292,6 +322,142 @@ def sample_truncated_levels(k: int, count, rng: np.random.Generator) -> np.ndarr
 
 def sample(params: GameParams, count: int, seed) -> np.ndarray:
     """Seeded i.i.d. payoff draws."""
+    import numpy as np
+
     if count < 0:
         raise ValueError("count must be >= 0")
     return sample_payoffs(count, np.random.default_rng(seed), params)
+
+
+# ---------------------------------------------------------------------------
+# closed-form constants of the limit theory
+
+
+class InversionError(RuntimeError):
+    """CF inversion could not meet its accuracy or grid-size budget."""
+
+
+def series_center(r: int, gamma: float, truncation: int) -> float:
+    """sum_{k=r+1}^N Psi(k/gamma)/k, the deterministic compensator.
+
+    The summand is 2^(1-e)/gamma with e the binary exponent of k/gamma, so it
+    is constant on dyadic blocks of k.  Each block's end is found by bisection
+    on that same float expression, the block sums are added exactly and the
+    total is rounded once: the result equals fsum over the terms, in work
+    logarithmic in N.
+    """
+    inv = 1.0 / gamma
+    total = Fraction(0)
+    k = r + 1
+    while k <= truncation:
+        e = math.frexp(k / gamma)[1]
+        end = truncation
+        if math.frexp(end / gamma)[1] != e:
+            lo, hi = k, end  # lo lies in the block, hi past it
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if math.frexp(mid / gamma)[1] == e:
+                    lo = mid
+                else:
+                    hi = mid
+            end = lo
+        total += (end - k + 1) * Fraction(math.ldexp(inv, 1 - e))
+        k = end + 1
+    return float(total)
+
+
+def a_const(r: int, gamma: float) -> float:
+    """A_{r,gamma} = sum_{k=1}^r Psi(k/gamma)/k (empty sum for r = 0)."""
+    if r < 0:
+        raise ValueError("r must be >= 0")
+    if r == 0:
+        return 0.0
+    return series_center(0, gamma, r)
+
+
+def centering(n: int, gamma: float, r: int = 0) -> float:
+    """a_{n,gamma}^(r) = sum_{j=r+1}^n Psi(j/gamma)/j; exact dyadic terms."""
+    if not (0 <= r < n):
+        raise ValueError("need 0 <= r < n")
+    if not (0.0 < gamma <= 1.0):
+        raise ValueError("gamma must lie in (0, 1]")
+    return series_center(r, gamma, n)
+
+
+def centering_closed(n: int, gamma: float) -> float:
+    """Closed form of the untrimmed centering: with m_n = floor(log2((n+1)/gamma)),
+    (n+1)/(gamma 2^m_n) - 1/gamma + sum_{m=1}^{m_n} ceil(gamma 2^m)/(gamma 2^m)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if not (0.0 < gamma <= 1.0):
+        raise ValueError("gamma must lie in (0, 1]")
+    m_n = floor_log2((n + 1) / gamma)
+    terms = [(n + 1) / math.ldexp(gamma, m_n) - 1.0 / gamma]
+    for m in range(1, m_n + 1):
+        g2m = math.ldexp(gamma, m)
+        terms.append(math.ceil(g2m) / g2m)
+    return math.fsum(terms)
+
+
+def xi_and_f(gamma: float) -> tuple:
+    """(xi, f) for gamma in (1/2, 1].
+
+    xi(gamma) = 2 - (1/gamma) sum_k k eps_k 2^-k - log2(gamma), where eps are
+    the binary digits of gamma in the representation with infinitely many 1's;
+    floats are exactly dyadic, so the digit sum is evaluated in closed form
+    after flipping the lowest set bit.  f(gamma) is its companion series
+    sum_m (ceil(2^m gamma) - 2^m gamma)/(2^m gamma), a finite sum for dyadic
+    gamma.  They satisfy f = xi + log2(gamma) - 1 + 1/gamma.
+    """
+    if not (0.5 < gamma <= 1.0):
+        raise ValueError("gamma must lie in (1/2, 1]")
+    g = Fraction(gamma)  # exact: floats are dyadic rationals
+    if gamma == 1.0:
+        digit_sum = Fraction(2)  # eps_k = 1 for all k: sum k 2^-k = 2
+    else:
+        den_bits = g.denominator.bit_length() - 1  # gamma = num / 2^den_bits
+        num = g.numerator
+        low = (num & -num).bit_length() - 1  # lowest set bit of the numerator
+        t = den_bits - low  # digit index of the trailing 1 to flip
+        # digits above t keep their value; digit t flips to 0; below t all 1
+        head = sum(
+            Fraction(k, 1 << k) for k in range(1, t) if (num >> (den_bits - k)) & 1
+        )
+        digit_sum = head + Fraction(t + 2, 1 << t)
+    xi = float(2 - digit_sum / g) - math.log2(gamma)
+    # f: terms vanish once 2^m gamma is an integer
+    f_terms = []
+    m = 1
+    while True:
+        g2m = g * (1 << m)
+        if g2m.denominator == 1:
+            break
+        f_terms.append((math.ceil(g2m) - g2m) / g2m)
+        m += 1
+    f = float(sum(f_terms, start=Fraction(0)))
+    return xi, f
+
+
+def chernoff_h(x: float) -> float:
+    """(2+x) ln(1+x/2) - x, the exponent of the conditional-limit tail bound;
+    sandwiched between x^2/(4+x) and x^2/2, and infinite at x = inf."""
+    if math.isnan(x):
+        raise ValueError("x must not be nan")
+    if x < 0:
+        raise ValueError("x must be >= 0")
+    if x == math.inf:
+        return math.inf  # the formula would give inf - inf
+    return (2.0 + x) * math.log1p(0.5 * x) - x
+
+
+def chernoff_bound(n: int, j: int, gamma: float = None, x: float = 0.0) -> float:
+    """exp(-h(x)/eta) with eta = 2^j/gamma; gamma defaults to gamma_n(n)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if j < 1 - (n - 1).bit_length():
+        raise ValueError("j below the admissible conditioning range for this n")
+    g = gamma_n(n) if gamma is None else gamma
+    if g <= 0:
+        raise ValueError("gamma must be > 0")
+    eta = math.ldexp(1.0, j) / g
+    return math.exp(-chernoff_h(x) / eta)

@@ -9,7 +9,11 @@ the block sampler behind ``limitlaw.sample_Y``.  ``frexp_levels`` is the
 mantissa/exponent formula the classical samplers used before they read the
 payoff off the raw exponent bits, kept as their oracle; ``FixedUniforms``
 feeds those samplers chosen uniforms in place of a Generator.
+``series_center_fsum`` is the array expression the compensator
+``stpdist.series_center`` used before it summed by dyadic blocks.
 """
+
+import math
 
 from fractions import Fraction
 from itertools import product
@@ -17,7 +21,7 @@ from itertools import product
 import numpy as np
 
 __all__ = ["classical_trimmed_tail", "general_trimmed_tail", "general_single_tail", "series_y_direct",
-           "frexp_levels", "FixedUniforms"]
+           "frexp_levels", "FixedUniforms", "series_center_fsum"]
 
 
 def classical_trimmed_tail(n: int, r: int, x: int) -> Fraction:
@@ -98,6 +102,13 @@ def frexp_levels(v) -> np.ndarray:
     [1/2, 1), so K = 1 - e, plus one when v is an exact power of two (m = 1/2)."""
     m, e = np.frexp(v)
     return (1 - e + (m == 0.5)).astype(np.int64)
+
+
+def series_center_fsum(r: int, gamma: float, truncation: int) -> float:
+    """fsum over k = r+1..N of Psi(k/gamma)/k = 2^(1 - e)/gamma, e the binary
+    exponent of k/gamma, one array element per term."""
+    ks = np.arange(r + 1, truncation + 1, dtype=float)
+    return math.fsum(np.ldexp(1.0 / gamma, 1 - np.frexp(ks / gamma)[1]))
 
 
 class FixedUniforms:

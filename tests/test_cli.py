@@ -262,14 +262,52 @@ def test_json_is_strict(capsys):
     assert _jdump(finite) == json.dumps(finite, separators=(",", ":")) + "\n"
 
 
-def test_import_loads_no_scipy():
-    # scipy is imported only by the quadrature oracle, never on the import path
-    code = ("import sys, petersburg, petersburg.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+def _fresh_python(code: str) -> str:
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(petersburg.__file__)))
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
-    assert res.stdout == "[]\n"
+    return res.stdout
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported only by the quadrature oracle, numpy only by the
+    # array subcommands and the modules they load, never on the import path
+    code = ("import sys, petersburg, petersburg.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'numpy')))")
+    assert _fresh_python(code) == "[]\n"
+
+
+# one argv per subcommand that does no array work
+NUMPY_FREE_ARGVS = [
+    ["tail", "--x", "10", "--truncate-level", "5"],
+    ["quantile", "--u", "0.9"],
+    ["exact-tail", "--n", "2", "--x", "6"],
+    ["trimmed-tail", "--n", "5", "--r", "1", "--x", "100", "--oracle"],
+    ["trimmed-tail", "--n", "5", "--normalized-x", "3", "--delta", "0.3", "--bound-c", "1"],
+    ["conv-ratio", "--x-dyadic", "4:6:2"],
+    ["asym-tail", "--n", "8", "--r", "1", "--x-dyadic", "4:6:2"],
+    ["finer-as", "--n", "8", "--r", "1", "--m", "10", "--c", "3"],
+    ["subexp-limits"],
+    ["centering", "--n", "5000", "--gamma", "0.75", "--r", "2"],
+    ["xi", "--gamma", "0.75"],
+    ["chernoff", "--n", "1024", "--j", "1", "--x", "2"],
+    ["fig2", "--n", "4", "--xmax", "64"],
+]
+
+
+def test_numpy_free_subcommands_never_load_numpy():
+    code = (f"import contextlib, io, json, sys\n"
+            f"from petersburg.cli import main\n"
+            f"for argv in {NUMPY_FREE_ARGVS!r}:\n"
+            f"    with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"        rc = main(argv)\n"
+            f"    print(json.dumps([argv[0], rc, 'numpy' in sys.modules]))\n")
+    rows = [json.loads(line) for line in _fresh_python(code).splitlines()]
+    assert [argv[0] for argv in NUMPY_FREE_ARGVS] == [sub for sub, _, _ in rows]
+    assert {sub for sub, _, _ in rows} == {
+        "tail", "quantile", "exact-tail", "trimmed-tail", "conv-ratio", "asym-tail", "finer-as",
+        "subexp-limits", "centering", "xi", "chernoff", "fig2"}
+    assert all(rc == 0 and not loaded for _, rc, loaded in rows), rows
 
 
 def test_gstar_cdf_curve(capsys):
@@ -309,6 +347,14 @@ def test_sample_y_output_shape(capsys):
     assert out2 == out
 
 
+def test_sample_y_rejects_non_finite_gamma(capsys):
+    for g in ("nan", "inf", "0"):
+        rc, _, err = run(capsys, "sample-y", "--gamma", g, "--reps", "3", "--seed", "1")
+        assert rc == 2 and "gamma must be positive and finite" in err
+    rc, _, err = run(capsys, "y-tail", "--gamma", "nan", "--x", "10", "--reps", "3", "--seed", "1")
+    assert rc == 2 and "gamma must be positive and finite" in err
+
+
 def test_y_tail_fields(capsys):
     rc, out, _ = run(capsys, "y-tail", "--r", "0", "--gamma", "1.0", "--x", "96",
                      "--reps", "20000", "--seed", "13")
@@ -332,6 +378,15 @@ def test_centering_closed_form_only_untrimmed(capsys):
     assert doc["closed"] == 3.125
     rc, out, _ = run(capsys, "centering", "--n", "8", "--gamma", "1.0", "--r", "1")
     assert json.loads(out)["closed"] is None
+
+
+def test_chernoff_edge_x(capsys):
+    rc, _, err = run(capsys, "chernoff", "--n", "1024", "--j", "1", "--x", "nan")
+    assert rc == 2 and "x must not be nan" in err
+    rc, out, _ = run(capsys, "chernoff", "--n", "1024", "--j", "1", "--x", "inf")
+    assert rc == 0
+    doc = json.loads(out)
+    assert (doc["x"], doc["h"], doc["bound"]) == ("inf", "inf", 0.0)
 
 
 def test_chernoff_pinned_values(capsys):

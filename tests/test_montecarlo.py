@@ -8,7 +8,7 @@ import pytest
 
 from oracle_reference import FixedUniforms, frexp_levels
 from petersburg import montecarlo
-from petersburg.exact import trimmed_tail_exact
+from petersburg.exact import oscillation_curve_fig2, trimmed_tail_exact
 from petersburg.limitlaw import sample_Y
 from petersburg.montecarlo import (
     EmpiricalTail,
@@ -18,7 +18,6 @@ from petersburg.montecarlo import (
     chernoff_check,
     histogram_fig1,
     max_pmf_check,
-    oscillation_curve_fig2,
     side_lobe_stats,
     simulate_trimmed,
     trimmed_merge_check,

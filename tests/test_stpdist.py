@@ -6,12 +6,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracle_reference import FixedUniforms, frexp_levels, general_single_tail
+from oracle_reference import FixedUniforms, frexp_levels, general_single_tail, series_center_fsum
 from petersburg.stpdist import (
     CLASSICAL,
     _exponent_payoffs,
     GameParams,
     cdf,
+    centering,
+    centering_closed,
     floor_log2,
     frac_log2,
     gamma_n,
@@ -22,6 +24,7 @@ from petersburg.stpdist import (
     sample_payoffs,
     sample_truncated_levels,
     sample_truncated_payoffs,
+    series_center,
     tail,
     truncated_cdf,
     truncated_moment,
@@ -246,7 +249,7 @@ def _check_samplers(u):
     assert np.array_equal(sample_levels(shape, FixedUniforms(u)), want)
     assert np.array_equal(sample_payoffs(shape, FixedUniforms(u)), np.ldexp(1.0, want))
     for cap in (1, 2, 10, 53):
-        want = frexp_levels(1.0 - u * (1.0 - 2.0**-cap))
+        want = np.minimum(frexp_levels(1.0 - u * (1.0 - 2.0**-cap)), cap)
         assert np.array_equal(sample_truncated_levels(cap, shape, FixedUniforms(u)), want)
         assert np.array_equal(sample_truncated_payoffs(cap, shape, FixedUniforms(u)),
                               np.ldexp(1.0, want))
@@ -264,3 +267,27 @@ def test_samplers_match_frexp_oracle_on_edge_draws():
 
 def test_samplers_match_frexp_oracle_on_random_draws():
     _check_samplers(np.random.default_rng(17).random(1 << 20))
+
+
+def test_truncated_sampler_stays_below_cap_one_at_largest_uniform():
+    # at k = 1, U = 1 - 2^-53 rounds 1 - U/2 to exactly 1/2, which the
+    # exponent kernel reads as level 2; the law conditioned on K <= 1 is the
+    # one payoff 2
+    u = np.array([0.0, 0.5, 1.0 - 2.0**-53])
+    assert np.array_equal(sample_truncated_payoffs(1, u.shape, FixedUniforms(u)), [2.0, 2.0, 2.0])
+    assert np.array_equal(sample_truncated_levels(1, u.shape, FixedUniforms(u)), [1, 1, 1])
+
+
+def test_series_center_matches_fsum_oracle_bit_for_bit():
+    rng = np.random.default_rng(23)
+    for _ in range(300):
+        n = int(rng.integers(1, 20_001))
+        r = int(rng.integers(0, n + 1))
+        gamma = float(rng.choice([1.0, 0.75, 0.5, float(rng.uniform(0.01, 1.0))]))
+        assert series_center(r, gamma, n) == series_center_fsum(r, gamma, n), (r, gamma, n)
+
+
+def test_centering_at_huge_n():
+    # dyadic blocks make n = 10^10 cost about fifty terms, not an array of 10^10
+    for gamma in (1.0, 0.7):
+        assert centering(10**10, gamma) == pytest.approx(centering_closed(10**10, gamma), abs=1e-12)
