@@ -214,7 +214,8 @@ def check_cf_moments_and_backends(
     moment_tol: float = 1e-6, cf_tol: float = 1e-10
 ) -> CheckResult:
     """Inverted curve moments against mean log2(eta), variance 2*eta; and the
-    series backend of the log characteristic exponent against the atom sum."""
+    atom series of the log characteristic exponent, which every CF evaluation
+    uses, against its exact-rational Taylor oracle."""
     cases = ((0, 1.0), (1, 0.75), (-1, 0.6))
     worst_mom = 0.0
     for j, g in cases:

@@ -158,66 +158,99 @@ def _small_atom_tail(t: np.ndarray, q: float) -> np.ndarray:
     return (re * w + 1j * (im * w * s)) / q
 
 
-def _atom_sum(t: np.ndarray, x: np.ndarray, comp: np.ndarray) -> np.ndarray:
-    """sum_i (e^(i t x_i) - 1 - i t comp_i)/x_i over the given atoms, summed
-    through sin in row blocks that bound the (points x atoms) workspace."""
+def _atom_sum(t: np.ndarray, ladder: np.ndarray, comp: np.ndarray,
+              ascending: bool) -> np.ndarray:
+    """sum_i (e^(i t x_i) - 1 - i t comp_i)/x_i over the atoms x_i of a dyadic
+    ladder, summed through sin in row blocks that bound the (points x atoms)
+    workspace.
+
+    ladder holds the atoms in summation order plus one half-atom at its small
+    end: first when ascending, last when not.  Each atom is twice its smaller
+    neighbour and halving is exact, so t x_i / 2 is t x_(i-1) bit for bit, and
+    one sin over the ladder gives both sin(t x_i / 2), for the real part
+    -2 sin^2(t x_i / 2), and sin(t x_i), for the imaginary part.
+    """
+    atoms, halves = slice(1, None), slice(None, -1)
+    if not ascending:
+        atoms, halves = halves, atoms
     out = np.empty(t.shape, dtype=complex)
-    masses = 1.0 / x
+    masses = 1.0 / ladder[atoms]
     step = 16384
     for a in range(0, t.size, step):
         ts = t[a : a + step]
-        z = np.multiply.outer(ts, x)
-        out[a : a + step].real = (-2.0 * np.square(np.sin(0.5 * z))) @ masses
-        out[a : a + step].imag = (np.sin(z) - np.multiply.outer(ts, comp)) @ masses
+        s = np.sin(np.multiply.outer(ts, ladder))
+        out[a : a + step].real = (-2.0 * np.square(s[:, halves])) @ masses
+        out[a : a + step].imag = (s[:, atoms] - np.multiply.outer(ts, comp)) @ masses
     return out
 
 
-def _log_cf_f_atoms(eta: float, t):
-    # sum_{d>=0} (2^d/eta)(e^(i t eta 2^-d) - 1 - i t eta 2^-d): the atoms
-    # eta 2^-d with |t| eta 2^-d > 1/4 for some t one at a time, the rest in
-    # closed form
-    t = np.asarray(t, dtype=float).reshape(-1)
+def _abs_max(t: np.ndarray) -> float:
+    """max |t| (0 for no points); a non-finite t raises ValueError."""
     tmax = float(np.max(np.abs(t))) if t.size else 0.0
+    if not math.isfinite(tmax):
+        raise ValueError(f"t must be finite, got max |t| = {tmax}")
+    return tmax
+
+
+def _eta(j: int, gamma: float) -> float:
+    """eta = 2^j / gamma of W_{j,gamma}, for a positive finite gamma."""
+    if not 0.0 < gamma < math.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    try:
+        eta = math.ldexp(1.0, j) / gamma
+    except OverflowError:
+        eta = math.inf
+    if not 0.0 < eta < math.inf:
+        raise ValueError(f"eta = 2^j/gamma must be positive and finite, got 2^{j}/{gamma}")
+    return eta
+
+
+def _log_cf_f_atoms(eta: float, t: np.ndarray, tmax: float) -> np.ndarray:
+    # sum_{d>=0} (2^d/eta)(e^(i t eta 2^-d) - 1 - i t eta 2^-d) at a flat t
+    # with max |t| = tmax: the atoms eta 2^-d with tmax eta 2^-d > 1/4 one at
+    # a time, the rest in closed form
     d_cut = max(0, math.ceil(math.log2(tmax * eta / _TAIL_CUT))) if tmax > 0.0 else 0
-    x = eta * np.ldexp(1.0, -np.arange(d_cut))
-    return _atom_sum(t, x, x) + _small_atom_tail(t, math.ldexp(eta, -d_cut))
+    ladder = eta * np.ldexp(1.0, -np.arange(d_cut + 1))  # descending, half-atom last
+    return (_atom_sum(t, ladder, ladder[:-1], ascending=False)
+            + _small_atom_tail(t, math.ldexp(eta, -d_cut)))
 
 
-def log_cf_f(eta: float, t, backend: str = "auto"):
+def log_cf_f(eta: float, t, backend: str = "atoms"):
     """log of the centered CF component f_eta(t); scalar t gives a complex,
     array t a complex array.
 
-    backend "taylor" is the exact-rational reference (scalar only), "atoms"
-    the vectorized Levy atom series; "auto" picks taylor for scalars with
-    moderate |t| eta and atoms otherwise.
+    backend "atoms" sums the Levy atoms eta 2^-d (vectorized, scalars as a
+    one-point array); "taylor" is the exact-rational power series, one point
+    at a time, kept as the oracle the atom series is checked against.
+    eta must be positive and finite and t finite, else ValueError.
     """
-    if eta <= 0:
-        raise ValueError("eta must be > 0")
-    if backend not in ("auto", "taylor", "atoms"):
+    if not 0.0 < eta < math.inf:
+        raise ValueError(f"eta must be positive and finite, got {eta}")
+    if backend not in ("atoms", "taylor"):
         raise ValueError(f"unknown backend {backend!r}")
-    if np.ndim(t) == 0:
-        tt = float(t)
-        if backend == "taylor" or (backend == "auto" and abs(tt) * eta <= 48.0):
-            return _log_cf_f_taylor(eta, tt)
-        return complex(_log_cf_f_atoms(eta, tt)[0])
+    ta = np.asarray(t, dtype=float)
+    flat = ta.reshape(-1)
+    tmax = _abs_max(flat)
     if backend == "taylor":
-        return np.array([_log_cf_f_taylor(eta, float(v)) for v in np.ravel(t)]).reshape(
-            np.shape(t)
-        )
-    return _log_cf_f_atoms(eta, t).reshape(np.shape(t))
+        out = np.array([_log_cf_f_taylor(eta, float(v)) for v in flat], dtype=complex)
+    else:
+        out = _log_cf_f_atoms(eta, flat, tmax)
+    return complex(out[0]) if ta.ndim == 0 else out.reshape(ta.shape)
 
 
-def cf_Wjgamma(j: int, gamma: float, t, backend: str = "auto"):
+def cf_Wjgamma(j: int, gamma: float, t, backend: str = "atoms"):
     """CF of the limit law conditioned on the maximum's octave: location
-    log2(eta) plus the f_eta component."""
-    if gamma <= 0:
-        raise ValueError("gamma must be > 0")
-    eta = math.ldexp(1.0, j) / gamma
-    mu = math.log2(eta)
-    if np.ndim(t) == 0:
-        return complex(np.exp(1j * float(t) * mu + log_cf_f(eta, t, backend)))
-    t = np.asarray(t, dtype=float)
-    return np.exp(1j * t * mu + log_cf_f(eta, t, backend))
+    log2(eta) plus the f_eta component, eta = 2^j / gamma.
+
+    backend is log_cf_f's; gamma must be positive and finite, and t finite,
+    else ValueError.
+    """
+    eta = _eta(j, gamma)
+    scalar = np.ndim(t) == 0
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    log_f = log_cf_f(eta, t, backend)  # validates t
+    out = np.exp(1j * t * math.log2(eta) + log_f)
+    return complex(out[0]) if scalar else out
 
 
 def u_gamma_const(gamma: float) -> float:
@@ -249,14 +282,16 @@ def cf_Wgamma(gamma: float, t):
     _check_merging_gamma(gamma)
     scalar = np.ndim(t) == 0
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    tmax = float(np.max(np.abs(t))) if t.size else 0.0
+    tmax = _abs_max(t)
     # Atoms past 2^56/gamma are dropped: atom i has mass gamma 2^-i and a log
     # term of modulus at most 2 + |t| gamma 2^-i, so for |t| < 2^56 they add
     # less than gamma 2^-56 (2 + 1) < 2^-54 to log phi.
     i_high = 56
     i_cut = i_high if tmax == 0.0 else min(i_high, floor_log2(gamma * _TAIL_CUT / tmax))
-    x = np.ldexp(1.0, np.arange(i_cut + 1, i_high + 1)) / gamma  # atoms 2^i/gamma
-    log_phi = (_atom_sum(t, x, x / (1.0 + x * x))
+    # atoms 2^i/gamma, i_cut < i <= i_high, after the half-atom 2^i_cut/gamma
+    ladder = np.ldexp(1.0, np.arange(i_cut, i_high + 1)) / gamma
+    x = ladder[1:]
+    log_phi = (_atom_sum(t, ladder, x / (1.0 + x * x), ascending=True)
                + _small_atom_tail(t, math.ldexp(1.0, i_cut) / gamma)
                + 1j * t * _wgamma_drift(gamma, i_cut))
     out = np.exp(log_phi)
@@ -460,9 +495,13 @@ def wjg_cdf_curve(j: int, gamma: float) -> CdfCurve:
     Window: mean log2(eta), Gaussian scale sqrt(2 eta) near the centre, but the
     right edge must clear ~2.75 eta because single big Levy jumps carry mass
     way past the Gaussian range before the superexponential regime kicks in.
-    The cache keeps the _WJG_CACHE_SIZE most recently read curves.
+    The cache keeps the _WJG_CACHE_SIZE most recently read curves.  gamma
+    must be positive and finite and 2^j/gamma finite and nonzero, else
+    ValueError.
     """
-    return _wjg_curve(j, float(gamma))
+    gamma = float(gamma)
+    _eta(j, gamma)
+    return _wjg_curve(j, gamma)
 
 
 @functools.lru_cache(maxsize=_WJG_CACHE_SIZE)
@@ -475,7 +514,7 @@ def _wjg_curve(j: int, gamma: float) -> CdfCurve:
     t_req = 70.0 if eta >= 0.5 else max(70.0, math.sqrt(34.0 / eta))
     dx_target = min(0.02 if eta <= 64.0 else 0.08, sigma / 6.0, 2.0 * math.pi / t_req)
     n = 1 << max(10, math.ceil(math.log2((hi - lo) / dx_target)))
-    return invert_cf_curve(lambda t: cf_Wjgamma(j, gamma, t, backend="atoms"),
+    return invert_cf_curve(lambda t: cf_Wjgamma(j, gamma, t),
                            lambda phi, t: _double_wjg(eta, phi, t), lo, hi, n)
 
 
@@ -488,8 +527,12 @@ def wgamma_cdf_curve(gamma: float, hi: float = 24576.0) -> CdfCurve:
     FFT wraps whatever lies beyond the edge back into the window, so the edge
     is snapped to the quiet zone sqrt(2) 2^k/gamma between bumps; the wrapped
     remainder then lands far from the bulk.  The cache keeps the
-    _WG_CACHE_SIZE most recently read curves.
+    _WG_CACHE_SIZE most recently read curves.  gamma must lie in [1/2, 1]
+    and hi be positive and finite, else ValueError.
     """
+    _check_merging_gamma(gamma)
+    if not 0.0 < hi < math.inf:
+        raise ValueError(f"hi must be positive and finite, got {hi}")
     return _wgamma_curve(float(gamma), float(hi))
 
 

@@ -1,20 +1,68 @@
 """The full-grid CF atom sums and all-k FFT inversion the odd-grid curves
-replaced, kept as a test oracle.
+replaced, and the two-sin atom kernel the one-sin ladder replaced, kept as
+test oracles.
 
 ``legacy_cf_Wgamma`` and ``legacy_log_cf_f_atoms`` sum every dyadic atom
 through ``sin`` up to a fixed truncation; ``legacy_invert_cf_curve`` evaluates
 the CF at every point of the t-grid.  They take only ``CdfCurve``,
 ``InversionError`` and the location constant ``u_gamma_const`` from the package.
+
+``two_sin_cf_Wgamma`` and ``two_sin_log_cf_f`` are ``cf_Wgamma`` and the atom
+backend of ``log_cf_f`` with the kernel that took ``sin(t x / 2)`` and
+``sin(t x)`` of every atom apart; everything around the kernel (atom cut,
+closed small-atom tail, drift) is the package's own, so the two must agree
+bit for bit.
 """
 
 import math
 
 import numpy as np
 
-from petersburg.limitlaw import CdfCurve, InversionError, u_gamma_const
+from petersburg.limitlaw import (_TAIL_CUT, CdfCurve, InversionError, _small_atom_tail,
+                                 _wgamma_drift, u_gamma_const)
+from petersburg.stpdist import floor_log2
 
 __all__ = ["legacy_cf_Wgamma", "legacy_cf_Wjgamma", "legacy_log_cf_f_atoms",
-           "legacy_invert_cf_curve"]
+           "legacy_invert_cf_curve", "two_sin_cf_Wgamma", "two_sin_log_cf_f"]
+
+
+def _two_sin_atom_sum(t, x, comp):
+    # sum_i (e^(i t x_i) - 1 - i t comp_i)/x_i, two sines per (t, atom) pair
+    out = np.empty(t.shape, dtype=complex)
+    masses = 1.0 / x
+    step = 16384
+    for a in range(0, t.size, step):
+        ts = t[a : a + step]
+        z = np.multiply.outer(ts, x)
+        out[a : a + step].real = (-2.0 * np.square(np.sin(0.5 * z))) @ masses
+        out[a : a + step].imag = (np.sin(z) - np.multiply.outer(ts, comp)) @ masses
+    return out
+
+
+def two_sin_log_cf_f(eta, t):
+    """log f_eta(t) by atoms, array or scalar t, through the two-sin kernel."""
+    scalar = np.ndim(t) == 0
+    t = np.asarray(t, dtype=float).reshape(-1)
+    tmax = float(np.max(np.abs(t))) if t.size else 0.0
+    d_cut = max(0, math.ceil(math.log2(tmax * eta / _TAIL_CUT))) if tmax > 0.0 else 0
+    x = eta * np.ldexp(1.0, -np.arange(d_cut))
+    out = _two_sin_atom_sum(t, x, x) + _small_atom_tail(t, math.ldexp(eta, -d_cut))
+    return complex(out[0]) if scalar else out
+
+
+def two_sin_cf_Wgamma(gamma, t):
+    """cf_Wgamma through the two-sin kernel."""
+    scalar = np.ndim(t) == 0
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    tmax = float(np.max(np.abs(t))) if t.size else 0.0
+    i_high = 56
+    i_cut = i_high if tmax == 0.0 else min(i_high, floor_log2(gamma * _TAIL_CUT / tmax))
+    x = np.ldexp(1.0, np.arange(i_cut + 1, i_high + 1)) / gamma
+    log_phi = (_two_sin_atom_sum(t, x, x / (1.0 + x * x))
+               + _small_atom_tail(t, math.ldexp(1.0, i_cut) / gamma)
+               + 1j * t * _wgamma_drift(gamma, i_cut))
+    out = np.exp(log_phi)
+    return complex(out[0]) if scalar else out
 
 
 def legacy_log_cf_f_atoms(eta, t):

@@ -246,6 +246,24 @@ def test_limit_cdf_edges(capsys):
     assert rc == 2 and "x must not be nan" in err
 
 
+def test_limit_cdf_rejects_bad_gamma(capsys):
+    # checked before any arithmetic: the message names the flag, never an
+    # inner helper's argument
+    for argv, name in (
+        (("--gamma", "0", "--j", "0"), "gamma must be positive and finite"),
+        (("--gamma", "-1", "--j", "0"), "gamma must be positive and finite"),
+        (("--j", "0", "--gamma", "nan"), "gamma must be positive and finite"),
+        (("--j", "0", "--gamma", "inf"), "gamma must be positive and finite"),
+        (("--gamma", "nan"), "gamma must lie in [1/2, 1]"),
+        (("--gamma", "inf"), "gamma must lie in [1/2, 1]"),
+        (("--gamma", "-1"), "gamma must lie in [1/2, 1]"),
+        (("--gamma", "1", "--j", "2000"), "eta = 2^j/gamma"),
+        (("--gamma", "1", "--j", "-1100"), "eta = 2^j/gamma"),
+    ):
+        rc, out, err = run(capsys, "limit-cdf", *argv, "--x", "1")
+        assert rc == 2 and out == "" and name in err, (argv, err)
+
+
 def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp, norm
 
-from legacy_cf import legacy_cf_Wgamma, legacy_cf_Wjgamma, legacy_invert_cf_curve
+from legacy_cf import (legacy_cf_Wgamma, legacy_cf_Wjgamma, legacy_invert_cf_curve,
+                       two_sin_cf_Wgamma, two_sin_log_cf_f)
 from legacy_mixture import legacy_mixture_cdf
 from oracle_reference import series_y_direct
 from petersburg import limitlaw
@@ -90,6 +91,96 @@ def test_closed_tail_matches_taylor():
             t = u / eta
             ref = log_cf_f(eta, t, backend="taylor")
             assert log_cf_f(eta, t, backend="atoms") == pytest.approx(ref, rel=1e-14, abs=1e-300)
+
+
+def _recorded_calls(monkeypatch, name, build, args):
+    # (args, value) of every call an uncached curve build makes to
+    # limitlaw.<name>: the top-of-grid probe, then the odd t-grid
+    calls = []
+    real = getattr(limitlaw, name)
+
+    def recording(*a):
+        out = real(*a)
+        calls.append((a, out))
+        return out
+
+    monkeypatch.setattr(limitlaw, name, recording)
+    build.__wrapped__(*args)
+    monkeypatch.undo()
+    return calls
+
+
+@pytest.mark.parametrize("gamma,hi", [(1.0, 24576.0), (0.75, 3072.0), (0.5, 3072.0)])
+def test_one_sin_ladder_matches_two_sin_kernel_on_wgamma(monkeypatch, gamma, hi):
+    calls = _recorded_calls(monkeypatch, "cf_Wgamma", limitlaw._wgamma_curve, (gamma, hi))
+    assert len(calls) >= 2
+    for (g, t), phi in calls:
+        assert np.array_equal(phi, two_sin_cf_Wgamma(g, t))
+    t_odd = calls[-1][0][1]
+    with_zero = np.concatenate(([0.0], t_odd))
+    assert np.array_equal(cf_Wgamma(gamma, with_zero), two_sin_cf_Wgamma(gamma, with_zero))
+    for t in (0.0, float(t_odd[0]), 3.7, float(t_odd[-1])):
+        assert cf_Wgamma(gamma, t) == two_sin_cf_Wgamma(gamma, t)
+
+
+@pytest.mark.parametrize("j,gamma", [(-7, 0.78125), (0, 1.0), (9, 0.8)])
+def test_one_sin_ladder_matches_two_sin_kernel_on_wjg(monkeypatch, j, gamma):
+    eta = math.ldexp(1.0, j) / gamma
+    assert eta in (0.01, 1.0, 640.0)
+    calls = _recorded_calls(monkeypatch, "log_cf_f", limitlaw._wjg_curve, (j, gamma))
+    assert len(calls) >= 2
+    for (e, t, *_), log_f in calls:
+        assert e == eta
+        assert np.array_equal(log_f, two_sin_log_cf_f(eta, t))
+    t_odd = calls[-1][0][1]
+    with_zero = np.concatenate(([0.0], t_odd))
+    assert np.array_equal(log_cf_f(eta, with_zero), two_sin_log_cf_f(eta, with_zero))
+    for t in (0.0, float(t_odd[0]), 3.7 / eta, float(t_odd[-1])):
+        assert log_cf_f(eta, t) == two_sin_log_cf_f(eta, t)
+
+
+def test_scalar_cf_is_the_one_point_array_cf():
+    # scalars run through the same atom series as arrays, bit for bit
+    for eta in (0.01, 1.0, 640.0):
+        for u in (0.0, 1e-3, 0.3, 12.0, 47.0, 49.0, 300.0):
+            t = u / eta
+            assert log_cf_f(eta, t) == log_cf_f(eta, np.array([t]))[0]
+    for j, g in ((0, 1.0), (3, 0.75), (-5, 0.6)):
+        for t in (0.0, 0.5, 7.0, 60.0):
+            assert cf_Wjgamma(j, g, t) == cf_Wjgamma(j, g, np.array([t]))[0]
+    for backend in ("auto", "series"):
+        with pytest.raises(ValueError, match="backend"):
+            log_cf_f(1.0, 0.5, backend=backend)
+        with pytest.raises(ValueError, match="backend"):
+            cf_Wjgamma(0, 1.0, 0.5, backend=backend)
+
+
+def test_cf_rejects_non_finite_arguments():
+    for t in (math.inf, -math.inf, math.nan, np.array([0.5, math.nan]), np.array([math.inf])):
+        for call in (lambda: cf_Wjgamma(0, 1.0, t), lambda: cf_Wgamma(1.0, t),
+                     lambda: log_cf_f(1.0, t), lambda: log_cf_f(1.0, t, backend="taylor")):
+            with pytest.raises(ValueError, match="t must be finite"):
+                call()
+    for eta in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="eta must be positive and finite"):
+            log_cf_f(eta, 0.5)
+    for g in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="gamma must be positive and finite"):
+            cf_Wjgamma(0, g, 0.5)
+        with pytest.raises(ValueError, match="gamma must be positive and finite"):
+            wjg_cdf_curve(0, g)
+        with pytest.raises(ValueError, match="gamma must lie in"):
+            cf_Wgamma(g, 0.5)
+        with pytest.raises(ValueError, match="gamma must lie in"):
+            wgamma_cdf_curve(g)
+    for j in (2000, -1100):
+        with pytest.raises(ValueError, match="eta = 2\\^j/gamma"):
+            cf_Wjgamma(j, 1.0, 0.5)
+        with pytest.raises(ValueError, match="eta = 2\\^j/gamma"):
+            wjg_cdf_curve(j, 1.0)
+    for hi in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="hi must be positive and finite"):
+            wgamma_cdf_curve(1.0, hi)
 
 
 def test_doubling_rules_match_direct_evaluation():
@@ -174,11 +265,21 @@ def test_wjg_curve_moments():
         assert var == pytest.approx(2.0 * eta, rel=1e-6)
 
 
-def test_wjg_pointwise_matches_curve():
+def test_wjg_pointwise_matches_curve(monkeypatch):
+    # the Taylor series is the exact oracle only; quadrature never enters it.
+    # The curve's error leaves out the discretization of its cumulative
+    # density quadrature (2.4e-10 here, gone when the window is inverted at
+    # a quarter of the step), so the gap gets the slack the benchmark's
+    # pointwise check allows too
+    def refuse(eta, t):
+        raise AssertionError("taylor series evaluated")
+
+    monkeypatch.setattr(limitlaw, "_log_cf_f_taylor", refuse)
     curve = wjg_cdf_curve(0, 1.0)
-    for x in (-1.0, 0.5, 2.0, 5.0):
+    for x in (-1.0, 0.5, 2.0, 3.0, 5.0):
         res = cdf_from_cf(lambda t: cf_Wjgamma(0, 1.0, t), x, tol=1e-8)
-        assert abs(res.value - float(curve.eval(x))) <= 1e-8
+        gap = abs(res.value - float(curve.eval(x)))
+        assert gap <= 1e-8 and gap <= res.error + curve.error + 1e-9
 
 
 def test_wgamma_pointwise_matches_curve_loosely():
