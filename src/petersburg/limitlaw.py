@@ -324,7 +324,11 @@ def cdf_from_cf(cf: Callable, x: float, tol: float = 1e-10) -> InvertedCdf:
     The oscillatory factor is handled by weighted (QAWO) quadrature; the upper
     limit T adapts until |cf(T)| < 1e-12.  Raises InversionError when the
     budget runs out or the quadrature cannot reach the requested tolerance.
+    cf is evaluated once per distinct t.
     """
+    # the head panels read Im and Re at each node, and the two QAWO passes
+    # over [cut, T] visit the same nodes
+    cf = functools.lru_cache(maxsize=None)(cf)
     T = 64.0
     while abs(cf(T)) > 1e-12:
         T *= 2.0
@@ -421,6 +425,38 @@ class CdfCurve:
         return np.minimum(np.maximum(out, 0.0), 1.0)
 
 
+# |cf| budget of the t-grid: at its top point, and for the bound on the part
+# the octave fill leaves at zero
+_CF_FLOOR = 1e-12
+# the octaves [k, 2k) below this k share one cf call
+_OCTAVE_BATCH = 1 << 10
+
+
+def _fill_cf_grid(cf: Callable, double: Callable, t: np.ndarray) -> tuple:
+    """The CF on the grid t_k = k dt, filled octave by octave as
+    invert_cf_curve describes, and the stop bound (0 when every point was
+    filled)."""
+    n = t.size
+    phi = np.zeros(n, dtype=complex)
+    phi[0] = 1.0
+    head = min(n, _OCTAVE_BATCH)
+    phi[1:head:2] = cf(t[1:head:2])
+    k = 2
+    while k < n:
+        top = min(2 * k, n)
+        if k >= _OCTAVE_BATCH:
+            phi[k + 1 : top : 2] = cf(t[k + 1 : top : 2])
+        evens = slice(k // 2, k // 2 + (top - k + 1) // 2)
+        phi[k:top:2] = double(phi[evens], t[evens])
+        if top >= head:
+            b = float(np.max(np.abs(phi[k:top])))
+            bound = 2.0 * (n - top) * b * b
+            if bound <= _CF_FLOOR:
+                return phi, bound
+        k = top
+    return phi, 0.0
+
+
 def invert_cf_curve(
     cf: Callable, double: Callable, lo: float, hi: float, n_points: int, max_points: int = 1 << 21
 ) -> CdfCurve:
@@ -428,12 +464,20 @@ def invert_cf_curve(
 
     The t-grid step is tied to the window (dt = 2pi/width); n_points doubles
     until |cf(T)| at the top of the t-grid is below 1e-12, which controls the
-    ringing of the truncated transform.  cf is evaluated at the odd grid
-    points t_k only; double(phi, t), the law's doubling rule, gives the CF at
-    2t from its value phi at t, which fills k = odd 2^m level by level.
-    Densities are clipped at 0 and the CDF renormalized; both defects are
-    folded into the error estimate.  A request for more than max_points
-    points raises InversionError before any cf evaluation.
+    ringing of the truncated transform.  The grid is filled one octave
+    [k, 2k) of indices at a time from the bottom: cf gives the odd points
+    (the octaves below k = 2^10 in one call), and double(phi, t), the law's
+    doubling rule, gives the CF at 2t from its value phi at t, for the even
+    ones.  double must satisfy |double(phi, t)| <= |phi|^2, so an octave
+    whose largest |phi| is b bounds every higher point by b^2.  A dropped
+    point moves the CDF by at most width dt / pi = 2 times its |phi|, so once
+    2 (n - 2k) b^2 <= 1e-12 the fill stops and the points above stay zero.
+    The octave's largest |phi| on the grid stands in for its supremum over
+    [k dt, 2k dt), which the bound strictly needs.  The error estimate is
+    |1 - mass| of the density, plus its clipped negative part, |cf(T)| and
+    the stop bound.  Densities are clipped at 0 and the CDF renormalized.
+    A request for more than max_points points raises InversionError before
+    any cf evaluation.
     """
     width = hi - lo
     if width <= 0:
@@ -445,20 +489,13 @@ def invert_cf_curve(
     while True:
         t_top = dt * (n - 1)
         top = abs(cf(np.array([t_top]))[0])
-        if top <= 1e-12 or n >= max_points:
+        if top <= _CF_FLOOR or n >= max_points:
             break
         n *= 2
     if top > 1e-9:
         raise InversionError(f"cf still {top:.2e} at end of t-grid (T={t_top:.1f})")
     t = dt * np.arange(n)
-    phi = np.empty(n, dtype=complex)
-    phi[0] = 1.0
-    phi[1::2] = cf(t[1::2])
-    step = 1
-    while 2 * step < n:
-        dst = phi[2 * step :: 4 * step]
-        dst[:] = double(phi[step :: 2 * step][: dst.size], t[step :: 2 * step][: dst.size])
-        step *= 2
+    phi, skipped = _fill_cf_grid(cf, double, t)
     a = phi * np.exp(-1j * t * lo)
     a[0] *= 0.5  # trapezoid endpoint
     g = (dt / math.pi) * np.real(np.fft.fft(a))
@@ -471,7 +508,7 @@ def invert_cf_curve(
     gp = np.gradient(g, dx)
     cdf -= (dx * dx / 12.0) * (gp - gp[0])
     mass = float(cdf[-1])
-    err = abs(1.0 - mass) + neg * width + float(top)
+    err = abs(1.0 - mass) + neg * width + float(top) + skipped
     if mass <= 0.5:
         raise InversionError("inverted density lost most of its mass; window misplaced")
     cdf = np.minimum.accumulate(np.minimum(cdf / mass, 1.0)[::-1])[::-1]
@@ -710,6 +747,9 @@ def gmix_cdf(gamma: float, x, weight_tol: float = 1e-10):
 # the series representation Y_{r,gamma}
 
 
+_PSI_ROWS = 4096  # rows of one _psi_over_arg block in the series sampler
+
+
 def _psi_over_arg(vals: np.ndarray, gamma: float) -> np.ndarray:
     # Psi(v/gamma)/v = 2^-floor(log2(v/gamma))/gamma, exact dyadic scaling
     e = np.frexp(vals / gamma)[1]
@@ -749,8 +789,12 @@ def sample_Y(
 
 def _sample_chunk_block(r, gamma, truncation, b, rng):
     k0 = min(truncation, max(64, r + 1))
-    z = np.cumsum(rng.standard_exponential((b, k0)), axis=1)
-    s = _psi_over_arg(z[:, r:], gamma).sum(axis=1)
+    z = rng.standard_exponential((b, k0))
+    np.cumsum(z, axis=1, out=z)
+    s = np.empty(b)
+    # row chunks keep _psi_over_arg's temporaries small
+    for a in range(0, b, _PSI_ROWS):
+        s[a : a + _PSI_ROWS] = _psi_over_arg(z[a : a + _PSI_ROWS, r:], gamma).sum(axis=1)
     rem = truncation - k0
     if rem == 0:
         return s

@@ -95,7 +95,8 @@ def test_closed_tail_matches_taylor():
 
 def _recorded_calls(monkeypatch, name, build, args):
     # (args, value) of every call an uncached curve build makes to
-    # limitlaw.<name>: the top-of-grid probe, then the odd t-grid
+    # limitlaw.<name>: the top-of-grid probe, then the odd t-grid points
+    # octave by octave
     calls = []
     real = getattr(limitlaw, name)
 
@@ -325,6 +326,44 @@ def test_wjg_curves_match_legacy(monkeypatch):
             assert curve.cdf.shape == legacy.cdf.shape
             err = min(curve.error, legacy.error)
             assert float(np.max(np.abs(curve.cdf - legacy.cdf))) <= err
+
+
+@pytest.mark.parametrize("build,args", [
+    *[(limitlaw._wgamma_curve, (g, hi)) for g in (0.5, 0.75, 1.0) for hi in (3072.0, 24576.0)],
+    *[(limitlaw._wjg_curve, (j, 1.0)) for j in (-20, -8, 0, 9, 14)],
+])
+def test_octave_stop_matches_full_grid(monkeypatch, build, args):
+    # the uncached build, with the bound on what its octave fill left at
+    # zero, against the same build with one cf call over the whole odd grid,
+    # which never stops early: the stop moves the curve by no more than that
+    # bound, plus rounding
+    real = limitlaw._fill_cf_grid
+    bounds = []
+
+    def recording(cf, double, t):
+        phi, bound = real(cf, double, t)
+        bounds.append(bound)
+        return phi, bound
+
+    monkeypatch.setattr(limitlaw, "_fill_cf_grid", recording)
+    curve = build.__wrapped__(*args)
+    monkeypatch.setattr(limitlaw, "_OCTAVE_BATCH", 1 << 30)
+    full = build.__wrapped__(*args)
+    skipped, nothing = bounds
+    assert nothing == 0.0
+    assert 0.0 <= skipped <= 1e-12 and curve.error >= skipped
+    assert float(np.max(np.abs(curve.cdf - full.cdf))) <= skipped + 1e-14
+    assert float(np.max(np.abs(curve.density - full.density))) <= skipped + 1e-14
+
+
+def test_octave_fill_stops_where_the_cf_has_vanished(monkeypatch):
+    # W_1 at hi = 24576 has 2^18 grid points; |cf| < 1e-17 above t = 17.7,
+    # the top of octave 2^15, so the top probe and that octave's odd points
+    # are all the cf work, against 2^17 + 1 calls for the whole odd grid
+    calls = _recorded_calls(monkeypatch, "cf_Wgamma", limitlaw._wgamma_curve, (1.0, 24576.0))
+    assert sum(np.size(t) for (_, t), _ in calls) <= 2**15 + 2
+    # a cf that is still large high up the grid keeps its accuracy
+    assert limitlaw._wjg_curve.__wrapped__(-20, 1.0).error <= 4.63e-9
 
 
 def test_wgamma_curve_is_invariant_under_doubling():
