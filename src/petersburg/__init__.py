@@ -21,7 +21,6 @@ from petersburg.stpdist import (
     gamma_n,
     psi,
     quantile,
-    sample,
     tail,
     truncated_cdf,
     truncated_moment,
@@ -82,7 +81,6 @@ __all__ = [
     "gamma_n",
     "truncated_cdf",
     "truncated_moment",
-    "sample",
     "DyadicProb",
     "sum_tail_exact",
     "trimmed_tail_exact",

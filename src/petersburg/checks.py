@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import inspect
 import math
-import os
 import subprocess
 import sys
 import tempfile
@@ -31,16 +30,12 @@ from petersburg.exact import (
     two_sum_tail_closed,
 )
 from petersburg.limitlaw import (
-    centering,
-    centering_closed,
-    chernoff_h,
     curve_moments,
     log_cf_f,
     p_weight,
     r_weight,
     sample_Y,
     wjg_cdf_curve,
-    xi_and_f,
     y_tail_rhs,
 )
 from petersburg.montecarlo import (
@@ -50,7 +45,14 @@ from petersburg.montecarlo import (
     side_lobe_stats,
     trimmed_merge_check,
 )
-from petersburg.stpdist import GameParams, frac_log2
+from petersburg.stpdist import (
+    GameParams,
+    centering,
+    centering_closed,
+    chernoff_h,
+    frac_log2,
+    xi_and_f,
+)
 
 __all__ = [
     "CheckResult",
@@ -69,7 +71,7 @@ __all__ = [
     "check_chernoff_bounds",
     "check_generalized_game",
     "check_figure_shapes",
-    "check_thread_determinism",
+    "check_output_determinism",
 ]
 
 
@@ -389,55 +391,39 @@ def check_figure_shapes(
     )
 
 
-def _run_cli(args: list, threads: str) -> subprocess.CompletedProcess:
-    env = dict(os.environ)
-    env["PETERSBURG_THREADS"] = threads
-    cmd = [sys.executable, "-m", "petersburg.cli"] + args + ["--threads", threads]
-    return subprocess.run(cmd, env=env, capture_output=True, timeout=600)
+def _cli_output(args: list, problems: list, out: Path | None = None) -> bytes:
+    """Bytes a fresh petersburg process writes to out, or to stdout when out
+    is None; a failed run is noted in problems and gives b""."""
+    cmd = [sys.executable, "-m", "petersburg.cli", *args]
+    if out is not None:
+        cmd += ["--out", str(out)]
+    res = subprocess.run(cmd, capture_output=True, timeout=600)
+    if res.returncode != 0:
+        problems.append(f"{args[0]} exit {res.returncode}")
+        return b""
+    return out.read_bytes() if out is not None else res.stdout
 
 
-def check_thread_determinism(det_reps: int = 30_000, det_seed: int = 7) -> CheckResult:
-    """Byte-identical stochastic output regardless of the advertised thread
-    count, for a file-writing and a stdout-writing subcommand."""
+def check_output_determinism(det_reps: int = 30_000, det_seed: int = 7) -> CheckResult:
+    """Byte-identical stochastic output between fresh processes and between
+    --out and stdout: mc-sim once to a file and once to stdout, merge-check
+    twice to stdout."""
     problems = []
+    sim = ["mc-sim", "--n", "64", "--r", "1", "--reps", str(det_reps), "--seed", str(det_seed)]
+    merge = ["merge-check", "--n", "64", "--reps", "20000", "--seed", str(det_seed)]
     with tempfile.TemporaryDirectory() as td:
-        blobs = []
-        for threads in ("1", "8"):
-            out = Path(td) / f"sim-{threads}.csv"
-            res = _run_cli(
-                [
-                    "mc-sim",
-                    "--n", "64",
-                    "--r", "1",
-                    "--reps", str(det_reps),
-                    "--seed", str(det_seed),
-                    "--out", str(out),
-                ],
-                threads,
-            )
-            if res.returncode != 0:
-                problems.append(f"mc-sim exit {res.returncode}")
-                blobs.append(b"")
-            else:
-                blobs.append(out.read_bytes())
-        if blobs[0] != blobs[1] or not blobs[0]:
-            problems.append("mc-sim outputs differ")
-    merged = []
-    for threads in ("1", "8"):
-        res = _run_cli(
-            ["merge-check", "--n", "64", "--reps", "20000", "--seed", str(det_seed)],
-            threads,
+        pairs = (
+            ("mc-sim", _cli_output(sim, problems, Path(td) / "sim.csv"), _cli_output(sim, problems)),
+            ("merge-check", _cli_output(merge, problems), _cli_output(merge, problems)),
         )
-        if res.returncode != 0:
-            problems.append(f"merge-check exit {res.returncode}")
-        merged.append(res.stdout)
-    if merged[0] != merged[1] or not merged[0]:
-        problems.append("merge-check outputs differ")
+    for name, first, second in pairs:
+        if first != second or not first:
+            problems.append(f"{name} outputs differ")
     ok = not problems
     return CheckResult(
-        "thread_determinism",
+        "output_determinism",
         ok,
-        "identical bytes for --threads 1 vs 8 (flag and environment)",
+        "identical bytes between processes and between --out and stdout",
         "both subcommands byte-identical" if ok else "; ".join(problems),
     )
 
@@ -456,7 +442,7 @@ _CHECKS = (
     check_chernoff_bounds,
     check_generalized_game,
     check_figure_shapes,
-    check_thread_determinism,
+    check_output_determinism,
 )
 
 # name, function, config keys passed through as keyword arguments; the keys

@@ -2,9 +2,10 @@
 
 One subcommand per family of operations, JSON for scalars and exact
 rationals, CSV for curves.  Output is a pure function of the flags: every
-stochastic subcommand requires --seed, and the --threads flag (or the
-PETERSBURG_THREADS variable) must be >= 1 but is advisory only and never
-changes results.
+stochastic subcommand requires --seed, except gen-tail, which samples only
+for non-classical games with n - r - 1 > 5 and defaults to seed 0.  Every
+seed reaches the draws through stpdist.seed_blocks, so a draw depends only
+on (seed, replicate index).
 
 Exit codes: 0 success, 2 invalid flag value (the message names the flag),
 3 a limit-law curve cannot answer (its inversion failed, or a W_gamma point
@@ -53,7 +54,6 @@ from petersburg.stpdist import (
     gamma_n,
     psi,
     quantile,
-    sample,
     tail,
     truncated_cdf,
     truncated_moment,
@@ -375,7 +375,7 @@ def _cmd_chernoff(args) -> int:
 
 
 def _cmd_mc_sim(args) -> int:
-    from petersburg.montecarlo import EmpiricalTail, SimPlan, simulate_trimmed
+    from petersburg.montecarlo import SimPlan, simulate_trimmed
 
     params = _params(args)
     if args.x_dyadic is not None and args.x_lin is not None:
@@ -386,11 +386,8 @@ def _cmd_mc_sim(args) -> int:
         xs = _parse_lin(args.x_lin, "--x-lin")
     else:
         xs = _parse_dyadic(args.x_dyadic or "4:14:2", "--x-dyadic")
-    if args.n == 1 and args.r == 0 and not args.centered:
-        emp = EmpiricalTail.from_samples(sample(params, args.reps, args.seed))
-    else:
-        plan = SimPlan(n=args.n, r=args.r, reps=args.reps, master_seed=args.seed)
-        emp = simulate_trimmed(plan, params, centered=args.centered)
+    plan = SimPlan(n=args.n, r=args.r, reps=args.reps, master_seed=args.seed)
+    emp = simulate_trimmed(plan, params, centered=args.centered)
     rows = [(float(x), emp.tail(x), emp.ci_halfwidth(x), "montecarlo") for x in xs]
     _emit(args, _csv("x,value,error_estimate,backend", rows))
     return 0
@@ -519,8 +516,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write output to this file instead of stdout")
-    common.add_argument("--threads", type=int, default=None,
-                        help="advisory worker count; never affects results")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     sp = sub.add_parser("tail", parents=[common], help="tail and cdf of one payoff")
@@ -587,7 +582,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--x", type=float, required=True)
     _add_game_flags(sp)
     sp.add_argument("--mc-reps", type=int, default=400_000)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=int, default=0,
+                    help="seed of the Monte Carlo inner terms, drawn only for "
+                         "non-classical games with n - r - 1 > 5 (default 0)")
     sp.set_defaults(func=_cmd_gen_tail)
 
     sp = sub.add_parser("limit-cdf", parents=[common],
@@ -622,7 +619,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--x", type=float, required=True)
     sp.add_argument("--truncation", type=int, default=10_000)
     sp.add_argument("--reps", type=int, default=200_000)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=int, required=True)
     sp.set_defaults(func=_cmd_y_tail)
 
     sp = sub.add_parser("centering", parents=[common],
@@ -715,26 +712,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _is_positive_int(value) -> bool:
-    try:
-        return int(value) >= 1
-    except ValueError:
-        return False
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    # --threads and PETERSBURG_THREADS are advisory: a bad value is rejected,
-    # a good one ignored
-    for name, value in (("--threads", args.threads),
-                        ("PETERSBURG_THREADS", os.environ.get("PETERSBURG_THREADS"))):
-        if value is not None and not _is_positive_int(value):
-            print(f"error: {name} must be an integer >= 1", file=sys.stderr)
-            return 2
     try:
         return args.func(args)
     except ValueError as exc:

@@ -6,8 +6,9 @@ curves, with pointwise Gil-Pelaez quadrature as their oracle), the trimmed
 limit law G*, the series sampler for the a.s.-convergent trimmed-limit series
 Y_{r,gamma} and its tail asymptote.  The scalar constants (centering
 sequences, A_{r,gamma}, the digit constant xi, the Chernoff bound for the
-conditional limit) and InversionError live in the numpy-free stpdist and are
-re-exported here.
+conditional limit) and InversionError live in the numpy-free stpdist; this
+module imports only what it uses, A_{r,gamma} for y_tail_parts and
+InversionError, which it raises.
 
 Conventions: eta = 2^j / gamma; {log2 x} = 0 at exact powers of two, matching
 stpdist.psi; all dyadic scalings go through ldexp/frexp so they are exact.
@@ -26,14 +27,9 @@ import numpy as np
 from petersburg.stpdist import (
     InversionError,
     a_const,
-    centering,
-    centering_closed,
-    chernoff_bound,
-    chernoff_h,
     floor_log2,
     seed_blocks,
     series_center,
-    xi_and_f,
 )
 
 __all__ = [
@@ -56,11 +52,6 @@ __all__ = [
     "y_tail_rhs",
     "y_tail_parts",
     "a_const",
-    "centering",
-    "centering_closed",
-    "xi_and_f",
-    "chernoff_h",
-    "chernoff_bound",
 ]
 
 
@@ -430,12 +421,14 @@ class CdfCurve:
 _CF_FLOOR = 1e-12
 # the octaves [k, 2k) below this k share one cf call
 _OCTAVE_BATCH = 1 << 10
+# largest t-grid a curve may use; a build that needs more is refused
+_MAX_POINTS = 1 << 21
 
 
 def _fill_cf_grid(cf: Callable, double: Callable, t: np.ndarray) -> tuple:
-    """The CF on the grid t_k = k dt, filled octave by octave as
-    invert_cf_curve describes, and the stop bound (0 when every point was
-    filled)."""
+    """The filled prefix of the CF on the grid t_k = k dt, filled octave by
+    octave as invert_cf_curve describes, and the stop bound (0 when every
+    point was filled); the points above the prefix are zero."""
     n = t.size
     phi = np.zeros(n, dtype=complex)
     phi[0] = 1.0
@@ -452,14 +445,12 @@ def _fill_cf_grid(cf: Callable, double: Callable, t: np.ndarray) -> tuple:
             b = float(np.max(np.abs(phi[k:top])))
             bound = 2.0 * (n - top) * b * b
             if bound <= _CF_FLOOR:
-                return phi, bound
+                return phi[:top], bound
         k = top
     return phi, 0.0
 
 
-def invert_cf_curve(
-    cf: Callable, double: Callable, lo: float, hi: float, n_points: int, max_points: int = 1 << 21
-) -> CdfCurve:
+def invert_cf_curve(cf: Callable, double: Callable, lo: float, hi: float, n_points: int) -> CdfCurve:
     """FFT inversion of a CF to a density/CDF curve on [lo, hi].
 
     The t-grid step is tied to the window (dt = 2pi/width); n_points doubles
@@ -476,29 +467,30 @@ def invert_cf_curve(
     [k dt, 2k dt), which the bound strictly needs.  The error estimate is
     |1 - mass| of the density, plus its clipped negative part, |cf(T)| and
     the stop bound.  Densities are clipped at 0 and the CDF renormalized.
-    A request for more than max_points points raises InversionError before
+    A request for more than _MAX_POINTS points raises InversionError before
     any cf evaluation.
     """
     width = hi - lo
     if width <= 0:
         raise ValueError("need hi > lo")
-    if n_points > max_points:
-        raise InversionError(f"curve needs {n_points} grid points, above the {max_points} budget")
+    if n_points > _MAX_POINTS:
+        raise InversionError(f"curve needs {n_points} grid points, above the {_MAX_POINTS} budget")
     dt = 2.0 * math.pi / width
     n = n_points
     while True:
         t_top = dt * (n - 1)
         top = abs(cf(np.array([t_top]))[0])
-        if top <= _CF_FLOOR or n >= max_points:
+        if top <= _CF_FLOOR or n >= _MAX_POINTS:
             break
         n *= 2
     if top > 1e-9:
         raise InversionError(f"cf still {top:.2e} at end of t-grid (T={t_top:.1f})")
     t = dt * np.arange(n)
     phi, skipped = _fill_cf_grid(cf, double, t)
-    a = phi * np.exp(-1j * t * lo)
+    a = phi * np.exp(-1j * t[: phi.size] * lo)
     a[0] *= 0.5  # trapezoid endpoint
-    g = (dt / math.pi) * np.real(np.fft.fft(a))
+    # the fft zero-pads the unfilled top of the grid back to n points
+    g = (dt / math.pi) * np.real(np.fft.fft(a, n))
     dx = width / n
     neg = max(0.0, float(-g.min()))
     g = np.clip(g, 0.0, None)

@@ -130,6 +130,15 @@ def simulate_trimmed(
     return EmpiricalTail.from_samples(s)
 
 
+def _ks_to_limit(n: int, r: int, reps: int, seed: int, limit_cdf) -> float:
+    """KS distance between (S_n minus its r largest payoffs)/n - log2(n),
+    over reps seeded replicates, and limit_cdf."""
+    s = _draw_trimmed_sums(SimPlan(n=n, r=r, reps=reps, master_seed=seed))
+    z = np.sort(s / n - math.log2(n))
+    f_emp = np.arange(1, reps + 1) / reps
+    return float(np.max(np.abs(f_emp - limit_cdf(z))))
+
+
 def merge_check(n: int, reps: int = 200_000, seed: int = 0) -> dict:
     """KS distance between S_n/n - log2(n) and the inverted untrimmed limit CF
     at gamma_n; merging says this is small along every subsequence.
@@ -138,12 +147,7 @@ def merge_check(n: int, reps: int = 200_000, seed: int = 0) -> dict:
     defined only up to the ``error`` of ``wgamma_cdf_curve(gamma_n)``: its
     last bits depend on the numpy build's FFT and sin/exp kernels."""
     g = gamma_n(n)
-    curve = wgamma_cdf_curve(g)
-    s = _draw_trimmed_sums(SimPlan(n=n, r=0, reps=reps, master_seed=seed))
-    z = np.sort(s / n - math.log2(n))
-    f_emp = np.arange(1, reps + 1) / reps
-    f_th = curve.eval(z)
-    ks = float(np.max(np.abs(f_emp - f_th)))
+    ks = _ks_to_limit(n, 0, reps, seed, wgamma_cdf_curve(g).eval)
     return {"n": n, "gamma": g, "reps": reps, "ks": ks}
 
 
@@ -155,11 +159,7 @@ def trimmed_merge_check(n: int, reps: int = 200_000, seed: int = 0) -> dict:
     defined only up to the largest ``error`` of the ``wjg_cdf_curve`` curves
     the mixture reads: they are FFT inversions too."""
     g = gamma_n(n)
-    s = _draw_trimmed_sums(SimPlan(n=n, r=1, reps=reps, master_seed=seed))
-    z = np.sort(s / n - math.log2(n))
-    f_emp = np.arange(1, reps + 1) / reps
-    f_th = gstar_cdf(g, z)
-    ks = float(np.max(np.abs(f_emp - f_th)))
+    ks = _ks_to_limit(n, 1, reps, seed, lambda z: gstar_cdf(g, z))
     return {"n": n, "gamma": g, "reps": reps, "ks": ks}
 
 

@@ -10,7 +10,7 @@ quantities come out exact, not rounded.
 
 The centering a_{n,gamma}, the constant A_{r,gamma}, the digit constant
 xi(gamma) and the Chernoff exponent are scalar sums of psi-type terms and
-live here rather than in limitlaw, which re-exports them.  Only the samplers
+live here rather than in limitlaw.  Only the samplers
 use numpy, and they import it when called: the exact and closed-form
 subcommands of the CLI never load it.
 """
@@ -33,7 +33,6 @@ __all__ = [
     "gamma_n",
     "truncated_cdf",
     "truncated_moment",
-    "sample",
     "sample_levels",
     "sample_truncated_levels",
     "sample_payoffs",
@@ -318,15 +317,6 @@ def sample_levels(count, rng: np.random.Generator, params: GameParams = CLASSICA
 def sample_truncated_levels(k: int, count, rng: np.random.Generator) -> np.ndarray:
     """Classical levels conditioned on K <= k, atom-exact via the same exponent kernel."""
     return payoff_levels(sample_truncated_payoffs(k, count, rng))
-
-
-def sample(params: GameParams, count: int, seed) -> np.ndarray:
-    """Seeded i.i.d. payoff draws."""
-    import numpy as np
-
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    return sample_payoffs(count, np.random.default_rng(seed), params)
 
 
 # ---------------------------------------------------------------------------

@@ -65,5 +65,5 @@ def test_figure_shapes_reproduce():
     _verdict(checks.check_figure_shapes())
 
 
-def test_cli_output_independent_of_threads():
-    _verdict(checks.check_thread_determinism())
+def test_cli_output_identical_across_processes_and_sinks():
+    _verdict(checks.check_output_determinism())

@@ -16,7 +16,7 @@ import pytest
 import petersburg
 from petersburg import limitlaw
 from petersburg.checks import ALL_CHECKS, DEFAULT_CONFIG
-from petersburg.cli import _build_parser, _jdump, main
+from petersburg.cli import _build_parser, _csv, _jdump, main
 from petersburg.montecarlo import SimPlan, simulate_trimmed
 from petersburg.stpdist import gamma_n
 
@@ -30,7 +30,6 @@ MAPPING = {
     "quantile": "quantile",
     "gamma_n": "merge-check",
     "truncated_moment": "chernoff",
-    "sample": "mc-sim",
     # exact dyadic engine
     "sum_tail_exact": "exact-tail",
     "two_sum_tail_closed": "exact-tail",
@@ -83,7 +82,7 @@ def run(capsys, *argv):
 
 def test_every_operation_has_exactly_one_subcommand():
     subs = _subcommands()
-    assert len(MAPPING) == 37
+    assert len(MAPPING) == 36
     for op, sub in MAPPING.items():
         assert sub in subs, f"{op} points at unknown subcommand {sub}"
     # repro-all drives the named checks rather than a single operation
@@ -428,6 +427,20 @@ def test_mc_sim_csv_and_determinism(capsys):
     assert out2 == out
 
 
+@pytest.mark.parametrize("alpha,p", [(1.0, 0.5), (1.0, 1.0 / 3.0)])
+def test_mc_sim_n1_reads_the_seed_block_stream(capsys, alpha, p):
+    # one payoff per replicate comes from the same seed_blocks stream as
+    # every other n, so the CSV is simulate_trimmed's at n = 1
+    rc, out, _ = run(capsys, "mc-sim", "--n", "1", "--reps", "3000", "--seed", "3",
+                     "--alpha", repr(alpha), "--p", repr(p), "--x-lin", "1:9:17")
+    assert rc == 0
+    params = petersburg.CLASSICAL if p == 0.5 else petersburg.GameParams(alpha, p)
+    emp = simulate_trimmed(SimPlan(n=1, r=0, reps=3000, master_seed=3), params)
+    rows = [(float(x), emp.tail(x), emp.ci_halfwidth(x), "montecarlo")
+            for x in np.linspace(1.0, 9.0, 17)]
+    assert out == _csv("x,value,error_estimate,backend", rows)
+
+
 def _draws_sha256(n, r, reps, seed):
     s = simulate_trimmed(SimPlan(n=n, r=r, reps=reps, master_seed=seed)).samples
     return hashlib.sha256(np.asarray(s, dtype="<f8").tobytes()).hexdigest()
@@ -547,29 +560,11 @@ def test_validation_exits_2(capsys):
 def test_argparse_failures_exit_2(capsys):
     assert run(capsys, "bogus-subcommand")[0] == 2
     assert run(capsys, "xi", "--gamma", "1.0", "--bogus")[0] == 2
+    # there is no --threads flag: it fails like any unknown flag
+    assert run(capsys, "xi", "--gamma", "1.0", "--threads", "1")[0] == 2
     # stochastic subcommands refuse to run unseeded
     assert run(capsys, "mc-sim", "--n", "4", "--reps", "100")[0] == 2
-
-
-def test_env_threads_validated(capsys, monkeypatch):
-    monkeypatch.setenv("PETERSBURG_THREADS", "abc")
-    rc, _, err = run(capsys, "xi", "--gamma", "1.0")
-    assert rc == 2
-    assert "PETERSBURG_THREADS" in err
-    monkeypatch.setenv("PETERSBURG_THREADS", "-3")
-    rc, _, err = run(capsys, "xi", "--gamma", "1.0", "--threads", "1")
-    assert rc == 2
-    assert "PETERSBURG_THREADS" in err
-    monkeypatch.setenv("PETERSBURG_THREADS", "8")
-    for bad in ("-5", "0"):
-        rc, out, err = run(capsys, "xi", "--gamma", "1.0", "--threads", bad)
-        assert rc == 2 and out == ""
-        assert "--threads" in err
-    rc, out, _ = run(capsys, "xi", "--gamma", "1.0")
-    monkeypatch.delenv("PETERSBURG_THREADS")
-    rc2, out2, _ = run(capsys, "xi", "--gamma", "1.0")
-    assert rc == rc2 == 0
-    assert out == out2
+    assert run(capsys, "y-tail", "--gamma", "1.0", "--x", "96", "--reps", "10")[0] == 2
 
 
 def test_out_file_written_atomically(capsys, tmp_path):

@@ -25,6 +25,8 @@ def test_package_names_resolve():
 
 
 def test_limitlaw_reexports_closed_form_scalars():
-    for name in ("centering", "centering_closed", "series_center", "a_const", "xi_and_f",
-                 "chernoff_h", "chernoff_bound", "InversionError"):
+    # limitlaw imports only the stpdist names it uses; the rest live in stpdist alone
+    for name in ("series_center", "a_const", "InversionError"):
         assert getattr(limitlaw, name) is getattr(stpdist, name), name
+    for name in ("centering", "centering_closed", "xi_and_f", "chernoff_h", "chernoff_bound"):
+        assert not hasattr(limitlaw, name), name

@@ -22,12 +22,8 @@ from petersburg.limitlaw import (
     InversionError,
     a_const,
     cdf_from_cf,
-    centering,
-    centering_closed,
     cf_Wgamma,
     cf_Wjgamma,
-    chernoff_bound,
-    chernoff_h,
     curve_moments,
     gmix_cdf,
     gstar_cdf,
@@ -41,10 +37,17 @@ from petersburg.limitlaw import (
     u_gamma_const,
     wgamma_cdf_curve,
     wjg_cdf_curve,
-    xi_and_f,
     y_tail_parts,
 )
-from petersburg.stpdist import gamma_n, psi
+from petersburg.stpdist import (
+    centering,
+    centering_closed,
+    chernoff_bound,
+    chernoff_h,
+    gamma_n,
+    psi,
+    xi_and_f,
+)
 
 
 def test_p_weight_depends_only_on_rate():
@@ -225,7 +228,7 @@ def test_gaussian_inversion_curve():
 
 
 def test_curve_builds_are_bounded():
-    # a build above max_points is refused before the cf is ever called
+    # a build above _MAX_POINTS (2^21) is refused before the cf is ever called
     cf = lambda t: np.exp(-0.5 * np.asarray(t) ** 2)
     curve = invert_cf_curve(cf, lambda p, t: p**4, -10.0, 10.0, 1 << 21)
     assert abs(float(curve.eval(1.0)) - norm.cdf(1.0)) <= 1e-9

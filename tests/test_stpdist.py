@@ -19,7 +19,6 @@ from petersburg.stpdist import (
     gamma_n,
     psi,
     quantile,
-    sample,
     sample_levels,
     sample_payoffs,
     sample_truncated_levels,
@@ -163,14 +162,6 @@ def test_payoff_ladder():
     assert GEN.payoff(2) == pytest.approx(1.5**2, rel=1e-15)
     assert CLASSICAL.level_prob(3) == 0.125
     assert GEN.level_prob(1) == pytest.approx(1.0 / 3.0, rel=1e-15)
-
-
-def test_sampling_is_seeded_and_reproducible():
-    a = sample(CLASSICAL, 1000, 42)
-    b = sample(CLASSICAL, 1000, 42)
-    c = sample(CLASSICAL, 1000, 43)
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
 
 
 def test_sample_levels_match_level_probabilities():
