@@ -48,7 +48,7 @@ from petersburg.asymptotics import (
 _LAZY = {
     **dict.fromkeys(
         ("CdfCurve", "cf_Wgamma", "cf_Wjgamma", "gstar_cdf", "log_cf_f", "p_weight",
-         "r_weight", "sample_Y", "y_tail_rhs"),
+         "r_weight", "sample_Y", "y_tail_parts"),
         "limitlaw",
     ),
     **dict.fromkeys(
@@ -101,7 +101,7 @@ __all__ = [
     "cf_Wgamma",
     "gstar_cdf",
     "sample_Y",
-    "y_tail_rhs",
+    "y_tail_parts",
     "a_const",
     "centering",
     "centering_closed",

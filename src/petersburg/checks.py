@@ -4,8 +4,10 @@ Each check compares independent routes to the same quantity (closed form vs
 exact table, exact tail vs asymptote, simulation vs limit curve) and returns
 a CheckResult with the pinned target and the measured outcome.  The test
 suite asserts one check per test; the repro-all subcommand runs the same
-functions and renders a report.  Every stochastic check takes its seed and
-replicate count as keyword arguments so a config file can override them.
+functions and renders a report.  A check's keyword arguments are its seeds,
+replicate and input counts only, so a config file can override them; its
+pass bounds are module constants, printed in the target text, that no
+config can move.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from petersburg.asymptotics import gen_snr_tail_rhs, snr_tail_rhs, subexp_limits
+from petersburg.asymptotics import gen_snr_tail_rhs, ratio_table, subexp_limits
 from petersburg.exact import (
     conv_ratio_curve,
     dyadic_grid,
@@ -36,9 +38,10 @@ from petersburg.limitlaw import (
     r_weight,
     sample_Y,
     wjg_cdf_curve,
-    y_tail_rhs,
+    y_tail_parts,
 )
 from petersburg.montecarlo import (
+    EmpiricalTail,
     chernoff_check,
     histogram_fig1,
     merge_check,
@@ -87,10 +90,6 @@ class CheckResult:
         return f"{flag}  {self.name}: {self.measured}  [target: {self.target}]"
 
 
-def _tail_float(dp) -> float:
-    return float(dp.as_fraction())
-
-
 def check_two_sum_closed_form() -> CheckResult:
     """Closed form for P{S_2 > 2^k + 2^l} against the exact table."""
     total = bad = 0
@@ -124,19 +123,28 @@ def check_trimmed_exact_vs_enumeration() -> CheckResult:
     )
 
 
-def check_trimmed_tail_asymptote(ratio_lo: float = 0.98, ratio_hi: float = 1.02) -> CheckResult:
+# pass bounds of the checks below, in the order the checks run
+_RATIO_LO, _RATIO_HI = 0.98, 1.02
+_BAND_LO, _BAND_HI, _ENDPOINT_TOL = 0.999, 2.1, 0.02
+_CONV_TOL = 0.01
+_WEIGHT_TOL = 1e-12
+_MOMENT_TOL, _CF_TOL = 1e-6, 1e-10
+_KS_TOL = 0.05
+_Y_RATIO_LO, _Y_RATIO_HI, _Y_BAND_LO, _Y_BAND_HI = 0.9, 1.1, 0.9, 2.2
+_CENTERING_TOL, _XI_TOL = 1e-12, 1e-10
+_GEN_RATIO_LO, _GEN_RATIO_HI, _GEN_FAR_TOL = 0.85, 1.15, 0.015
+_LOBE_RATIO_MAX = 0.25
+
+
+def check_trimmed_tail_asymptote() -> CheckResult:
     """Exact trimmed tail over its first-order asymptote at mid-octave points."""
-    ratios = []
-    for m in range(10, 15):
-        x = 3 * (1 << m)
-        exact = _tail_float(trimmed_tail_exact(4, 1, x))
-        asym = snr_tail_rhs(4, 1, x).value
-        ratios.append(exact / asym)
-    ok = all(ratio_lo <= v <= ratio_hi for v in ratios)
+    rows = ratio_table(4, 1, [3 * (1 << m) for m in range(10, 15)])
+    ratios = [row[4] for row in rows]
+    ok = all(_RATIO_LO <= v <= _RATIO_HI for v in ratios)
     return CheckResult(
         "trimmed_tail_asymptote",
         ok,
-        f"exact/asymptote in [{ratio_lo}, {ratio_hi}] at x = 3*2^m, m = 10..14",
+        f"exact/asymptote in [{_RATIO_LO}, {_RATIO_HI}] at x = 3*2^m, m = 10..14",
         f"ratios {min(ratios):.5f}..{max(ratios):.5f}",
     )
 
@@ -149,50 +157,46 @@ _LIMINF_POINTS = {2: 66192, 4: 132120, 16: 529900}
 _LIMSUP_X = 8191
 
 
-def check_oscillation_band(
-    band_lo: float = 0.999, band_hi: float = 2.1, endpoint_tol: float = 0.02
-) -> CheckResult:
+def check_oscillation_band() -> CheckResult:
     worst_lo = worst_hi = 0.0
     ok = True
     for n, x in _LIMINF_POINTS.items():
-        v = x * _tail_float(sum_tail_exact(n, x)) / n
+        v = x * float(sum_tail_exact(n, x)) / n
         worst_lo = max(worst_lo, abs(v - 1.0))
-        ok = ok and abs(v - 1.0) <= endpoint_tol
+        ok = ok and abs(v - 1.0) <= _ENDPOINT_TOL
     for n in (2, 4, 16):
-        v = _LIMSUP_X * _tail_float(sum_tail_exact(n, _LIMSUP_X)) / (2 * n)
+        v = _LIMSUP_X * float(sum_tail_exact(n, _LIMSUP_X)) / (2 * n)
         worst_hi = max(worst_hi, abs(v - 1.0))
-        ok = ok and abs(v - 1.0) <= endpoint_tol
+        ok = ok and abs(v - 1.0) <= _ENDPOINT_TOL
     band = []
     for n in (2, 4, 16):
         for x in dyadic_grid(12, 14, 33):
             if not 0.1 < frac_log2(x) < 0.9:
                 continue
-            band.append(x * _tail_float(sum_tail_exact(n, x)) / n)
-    ok = ok and all(band_lo <= v <= band_hi for v in band)
+            band.append(x * float(sum_tail_exact(n, x)) / n)
+    ok = ok and all(_BAND_LO <= v <= _BAND_HI for v in band)
     return CheckResult(
         "oscillation_band",
         ok,
-        f"endpoints within {endpoint_tol} of n and 2n; band in [{band_lo}, {band_hi}]",
+        f"endpoints within {_ENDPOINT_TOL} of n and 2n; band in [{_BAND_LO}, {_BAND_HI}]",
         f"endpoint devs {worst_lo:.4f}/{worst_hi:.4f}; band {min(band):.4f}..{max(band):.4f} over {len(band)} points",
     )
 
 
-def check_two_sum_convolution_ratio(conv_tol: float = 0.01) -> CheckResult:
+def check_two_sum_convolution_ratio() -> CheckResult:
     """P{S_2 > x} / P{X > x} hits 4 at a power of two and 2 just below it."""
     rows = dict(conv_ratio_curve([4096.0, 4095.0]))
     d_hi = abs(rows[4096.0] / 4.0 - 1.0)
     d_lo = abs(rows[4095.0] / 2.0 - 1.0)
     return CheckResult(
         "two_sum_convolution_ratio",
-        d_hi <= conv_tol and d_lo <= conv_tol,
-        f"ratio(4096)/4 and ratio(4095)/2 within {conv_tol} of 1",
+        d_hi <= _CONV_TOL and d_lo <= _CONV_TOL,
+        f"ratio(4096)/4 and ratio(4095)/2 within {_CONV_TOL} of 1",
         f"ratio(4096) = {rows[4096.0]:.6f}, ratio(4095) = {rows[4095.0]:.6f}",
     )
 
 
-def check_weight_normalization(
-    weight_count: int = 50, weight_seed: int = 23, weight_tol: float = 1e-12
-) -> CheckResult:
+def check_weight_normalization(weight_count: int = 50, weight_seed: int = 23) -> CheckResult:
     """Level weights sum to one, and so do the tie counts at each level."""
     rng = np.random.default_rng(weight_seed)
     worst_p = worst_r = 0.0
@@ -203,18 +207,16 @@ def check_weight_normalization(
         worst_p = max(worst_p, abs(total_p - 1.0))
         total_r = sum(r_weight(j, g, m) for m in range(1, 400))
         worst_r = max(worst_r, abs(total_r - 1.0))
-    ok = worst_p <= weight_tol and worst_r <= weight_tol
+    ok = worst_p <= _WEIGHT_TOL and worst_r <= _WEIGHT_TOL
     return CheckResult(
         "weight_normalization",
         ok,
-        f"both families sum to 1 within {weight_tol:g} for {weight_count} random (j, gamma)",
+        f"both families sum to 1 within {_WEIGHT_TOL:g} for {weight_count} random (j, gamma)",
         f"worst level-weight error {worst_p:.2e}, worst tie-count error {worst_r:.2e}",
     )
 
 
-def check_cf_moments_and_backends(
-    moment_tol: float = 1e-6, cf_tol: float = 1e-10
-) -> CheckResult:
+def check_cf_moments_and_backends() -> CheckResult:
     """Inverted curve moments against mean log2(eta), variance 2*eta; and the
     atom series of the log characteristic exponent, which every CF evaluation
     uses, against its exact-rational Taylor oracle."""
@@ -230,71 +232,54 @@ def check_cf_moments_and_backends(
         eta = 2.0**j / g
         d = np.abs(log_cf_f(eta, ts, backend="taylor") - log_cf_f(eta, ts, backend="atoms"))
         worst_cf = max(worst_cf, float(d.max()))
-    ok = worst_mom <= moment_tol and worst_cf <= cf_tol
+    ok = worst_mom <= _MOMENT_TOL and worst_cf <= _CF_TOL
     return CheckResult(
         "cf_moments_and_backends",
         ok,
-        f"moments within {moment_tol:g}; backends agree within {cf_tol:g}",
+        f"moments within {_MOMENT_TOL:g}; backends agree within {_CF_TOL:g}",
         f"worst moment error {worst_mom:.2e}, worst backend gap {worst_cf:.2e}",
     )
 
 
-def check_merging_ks(
-    merge_reps: int = 200_000, merge_seed: int = 11, ks_tol: float = 0.05
-) -> CheckResult:
+def check_merging_ks(merge_reps: int = 200_000, merge_seed: int = 11) -> CheckResult:
     """KS distance to the limit curve shrinks from n = 64 to n = 4096 and ends
     below tolerance, for the full sum and for the max-trimmed sum."""
     ks_small = merge_check(64, reps=merge_reps, seed=merge_seed)["ks"]
     ks_big = merge_check(4096, reps=merge_reps, seed=merge_seed)["ks"]
     kst_small = trimmed_merge_check(64, reps=merge_reps, seed=merge_seed)["ks"]
     kst_big = trimmed_merge_check(4096, reps=merge_reps, seed=merge_seed)["ks"]
-    ok = ks_big <= ks_tol and kst_big <= ks_tol and ks_big < ks_small and kst_big < kst_small
+    ok = ks_big <= _KS_TOL and kst_big <= _KS_TOL and ks_big < ks_small and kst_big < kst_small
     return CheckResult(
         "merging_ks",
         ok,
-        f"KS at n = 4096 below {ks_tol} and below the n = 64 value, both statistics",
+        f"KS at n = 4096 below {_KS_TOL} and below the n = 64 value, both statistics",
         f"full {ks_small:.4f} -> {ks_big:.4f}; trimmed {kst_small:.4f} -> {kst_big:.4f}",
     )
 
 
 def check_y_tail_bracket(
-    y_reps: int = 10_000_000,
-    y_truncation: int = 10_000,
-    y_seed: int = 13,
-    y_ratio_lo: float = 0.9,
-    y_ratio_hi: float = 1.1,
-    y_band_lo: float = 0.9,
-    y_band_hi: float = 2.2,
+    y_reps: int = 10_000_000, y_truncation: int = 10_000, y_seed: int = 13
 ) -> CheckResult:
     """Sampled limit-series tails against the bracket formula, sharing one
     sample array between the empirical side and the formula's inner terms."""
     ys = np.sort(sample_Y(0, 1.0, truncation=y_truncation, reps=y_reps, seed=y_seed))
-
-    def phat(x: float) -> float:
-        return float(ys.size - np.searchsorted(ys, x, side="right")) / ys.size
-
-    ratios = []
-    for x in (96.0, 192.0):
-        rhs = y_tail_rhs(0, 1.0, x, y0_samples=ys, truncation=y_truncation)
-        ratios.append(phat(x) / rhs)
-    band = [x * phat(x) for x in dyadic_grid(4, 10, 4)]
-    ok = all(y_ratio_lo <= v <= y_ratio_hi for v in ratios)
-    ok = ok and all(y_band_lo <= v <= y_band_hi for v in band)
+    emp = EmpiricalTail(samples=ys, reps=ys.size)
+    ratios = [emp.tail(x) / y_tail_parts(0, 1.0, x, y0_samples=ys)["value"]
+              for x in (96.0, 192.0)]
+    band = [x * emp.tail(x) for x in dyadic_grid(4, 10, 4)]
+    ok = all(_Y_RATIO_LO <= v <= _Y_RATIO_HI for v in ratios)
+    ok = ok and all(_Y_BAND_LO <= v <= _Y_BAND_HI for v in band)
     return CheckResult(
         "y_tail_bracket",
         ok,
-        f"empirical/formula in [{y_ratio_lo}, {y_ratio_hi}] at x = 96, 192; "
-        f"x*tail in [{y_band_lo}, {y_band_hi}] on the dyadic sweep",
+        f"empirical/formula in [{_Y_RATIO_LO}, {_Y_RATIO_HI}] at x = 96, 192; "
+        f"x*tail in [{_Y_BAND_LO}, {_Y_BAND_HI}] on the dyadic sweep",
         f"ratios {ratios[0]:.4f}, {ratios[1]:.4f}; sweep {min(band):.4f}..{max(band):.4f}",
     )
 
 
 def check_centering_identities(
-    centering_count: int = 200,
-    xi_count: int = 100,
-    centering_seed: int = 29,
-    centering_tol: float = 1e-12,
-    xi_tol: float = 1e-10,
+    centering_count: int = 200, xi_count: int = 100, centering_seed: int = 29
 ) -> CheckResult:
     ok_anchor = centering(8, 1.0, 0) == 3.125 and xi_and_f(0.75)[1] == 1.0 / 3.0
     rng = np.random.default_rng(centering_seed)
@@ -308,12 +293,12 @@ def check_centering_identities(
         g = 0.5 + 0.5 * float(rng.uniform(1e-9, 1.0))
         xi, f = xi_and_f(g)
         worst_f = max(worst_f, abs(f - (xi + math.log2(g) - 1.0 + 1.0 / g)))
-    ok = ok_anchor and worst_c <= centering_tol and worst_f <= xi_tol
+    ok = ok_anchor and worst_c <= _CENTERING_TOL and worst_f <= _XI_TOL
     return CheckResult(
         "centering_identities",
         ok,
-        f"anchors exact; sum vs closed form within {centering_tol:g}; "
-        f"f vs xi identity within {xi_tol:g}",
+        f"anchors exact; sum vs closed form within {_CENTERING_TOL:g}; "
+        f"f vs xi identity within {_XI_TOL:g}",
         f"anchors {'ok' if ok_anchor else 'BROKEN'}; "
         f"worst centering gap {worst_c:.2e}, worst identity gap {worst_f:.2e}",
     )
@@ -345,9 +330,7 @@ def check_chernoff_bounds(
     )
 
 
-def check_generalized_game(
-    gen_ratio_lo: float = 0.85, gen_ratio_hi: float = 1.15, gen_far_tol: float = 0.015
-) -> CheckResult:
+def check_generalized_game() -> CheckResult:
     """Subexponential limits snap to (2, 3) at p = 1/3, and the generalized
     tail asymptote tracks brute enumeration along the payoff scale."""
     params = GameParams(1.0, 1.0 / 3.0)
@@ -360,31 +343,29 @@ def check_generalized_game(
     r_far = float(enum_oracle(3, 0, x_far, params=params)) / gen_snr_tail_rhs(
         3, 0, x_far, params=params
     )
-    ok = ok_lims and gen_ratio_lo <= r_near <= gen_ratio_hi and abs(r_far - 1.0) <= gen_far_tol
+    ok = ok_lims and _GEN_RATIO_LO <= r_near <= _GEN_RATIO_HI and abs(r_far - 1.0) <= _GEN_FAR_TOL
     return CheckResult(
         "generalized_game",
         ok,
-        f"limits == (2, 3); near ratio in [{gen_ratio_lo}, {gen_ratio_hi}]; "
-        f"far ratio within {gen_far_tol} of 1",
+        f"limits == (2, 3); near ratio in [{_GEN_RATIO_LO}, {_GEN_RATIO_HI}]; "
+        f"far ratio within {_GEN_FAR_TOL} of 1",
         f"limits {lims}; ratio(10) = {r_near:.5f}, ratio(10*1.5^8) = {r_far:.5f}",
     )
 
 
-def check_figure_shapes(
-    fig1_reps: int = 1_000_000, fig_seed: int = 19, lobe_ratio_max: float = 0.25
-) -> CheckResult:
+def check_figure_shapes(fig1_reps: int = 1_000_000, fig_seed: int = 19) -> CheckResult:
     """Trimming kills the side lobes of the log-sum histogram, and the exact
     tail of S_16 drops strictly at every power of two."""
     hist = histogram_fig1(n=128, reps=fig1_reps, seed=fig_seed)
     stats = side_lobe_stats(hist)
-    ok_lobes = stats["ratio"] < lobe_ratio_max and stats["lobes_untrimmed"] >= 2
+    ok_lobes = stats["ratio"] < _LOBE_RATIO_MAX and stats["lobes_untrimmed"] >= 2
     drops_ok = all(
         sum_tail_exact(16, (1 << m) - 1) > sum_tail_exact(16, 1 << m) for m in range(6, 13)
     )
     return CheckResult(
         "figure_shapes",
         ok_lobes and drops_ok,
-        f"trimmed/untrimmed lobe mass < {lobe_ratio_max} with >= 2 lobes; "
+        f"trimmed/untrimmed lobe mass < {_LOBE_RATIO_MAX} with >= 2 lobes; "
         "strict tail drop at 2^m, m = 6..12",
         f"lobe ratio {stats['ratio']:.4f}, {stats['lobes_untrimmed']} lobes; "
         f"drops {'all strict' if drops_ok else 'BROKEN'}",

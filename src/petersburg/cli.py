@@ -50,6 +50,7 @@ from petersburg.stpdist import (
     centering_closed,
     chernoff_bound,
     chernoff_h,
+    eta_jgamma,
     frac_log2,
     gamma_n,
     psi,
@@ -358,14 +359,12 @@ def _cmd_xi(args) -> int:
 
 
 def _cmd_chernoff(args) -> int:
+    bound = chernoff_bound(args.n, args.j, args.gamma, args.x)  # validates every flag
     g = args.gamma if args.gamma is not None else gamma_n(args.n)
     cap = (args.n - 1).bit_length() + args.j
-    if cap < 1:
-        raise ValueError("--j leaves no payoff levels below the cap")
     _emit(args, _jdump({
-        "n": args.n, "j": args.j, "gamma": g, "eta": 2.0**args.j / g,
-        "x": args.x, "h": chernoff_h(args.x),
-        "bound": chernoff_bound(args.n, args.j, args.gamma, args.x),
+        "n": args.n, "j": args.j, "gamma": g, "eta": eta_jgamma(args.j, g),
+        "x": args.x, "h": chernoff_h(args.x), "bound": bound,
         "cap": cap, "truncated_mean": truncated_moment(1, cap),
     }))
     return 0
@@ -706,7 +705,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("repro-all", parents=[common],
                         help="run every acceptance check and write a report")
     sp.add_argument("--config", default=None,
-                    help="key=value overrides for seeds, reps, tolerances")
+                    help="key=value overrides of seeds and sample sizes; "
+                         "a pass bound or any other key is rejected by name")
     sp.set_defaults(func=_cmd_repro_all)
 
     return parser

@@ -7,8 +7,8 @@ limit law G*, the series sampler for the a.s.-convergent trimmed-limit series
 Y_{r,gamma} and its tail asymptote.  The scalar constants (centering
 sequences, A_{r,gamma}, the digit constant xi, the Chernoff bound for the
 conditional limit) and InversionError live in the numpy-free stpdist; this
-module imports only what it uses, A_{r,gamma} for y_tail_parts and
-InversionError, which it raises.
+module imports only what it uses: A_{r,gamma} for y_tail_parts, eta =
+2^j/gamma for W_{j,gamma}, and InversionError, which it raises.
 
 Conventions: eta = 2^j / gamma; {log2 x} = 0 at exact powers of two, matching
 stpdist.psi; all dyadic scalings go through ldexp/frexp so they are exact.
@@ -27,6 +27,7 @@ import numpy as np
 from petersburg.stpdist import (
     InversionError,
     a_const,
+    eta_jgamma,
     floor_log2,
     seed_blocks,
     series_center,
@@ -49,9 +50,7 @@ __all__ = [
     "gstar_cdf_error",
     "gmix_cdf",
     "sample_Y",
-    "y_tail_rhs",
     "y_tail_parts",
-    "a_const",
 ]
 
 
@@ -183,19 +182,6 @@ def _abs_max(t: np.ndarray) -> float:
     return tmax
 
 
-def _eta(j: int, gamma: float) -> float:
-    """eta = 2^j / gamma of W_{j,gamma}, for a positive finite gamma."""
-    if not 0.0 < gamma < math.inf:
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
-    try:
-        eta = math.ldexp(1.0, j) / gamma
-    except OverflowError:
-        eta = math.inf
-    if not 0.0 < eta < math.inf:
-        raise ValueError(f"eta = 2^j/gamma must be positive and finite, got 2^{j}/{gamma}")
-    return eta
-
-
 def _log_cf_f_atoms(eta: float, t: np.ndarray, tmax: float) -> np.ndarray:
     # sum_{d>=0} (2^d/eta)(e^(i t eta 2^-d) - 1 - i t eta 2^-d) at a flat t
     # with max |t| = tmax: the atoms eta 2^-d with tmax eta 2^-d > 1/4 one at
@@ -229,17 +215,16 @@ def log_cf_f(eta: float, t, backend: str = "atoms"):
     return complex(out[0]) if ta.ndim == 0 else out.reshape(ta.shape)
 
 
-def cf_Wjgamma(j: int, gamma: float, t, backend: str = "atoms"):
+def cf_Wjgamma(j: int, gamma: float, t):
     """CF of the limit law conditioned on the maximum's octave: location
     log2(eta) plus the f_eta component, eta = 2^j / gamma.
 
-    backend is log_cf_f's; gamma must be positive and finite, and t finite,
-    else ValueError.
+    gamma must be positive and finite, and t finite, else ValueError.
     """
-    eta = _eta(j, gamma)
+    eta = eta_jgamma(j, gamma)
     scalar = np.ndim(t) == 0
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    log_f = log_cf_f(eta, t, backend)  # validates t
+    log_f = log_cf_f(eta, t)  # validates t
     out = np.exp(1j * t * math.log2(eta) + log_f)
     return complex(out[0]) if scalar else out
 
@@ -453,9 +438,9 @@ def _fill_cf_grid(cf: Callable, double: Callable, t: np.ndarray) -> tuple:
 def invert_cf_curve(cf: Callable, double: Callable, lo: float, hi: float, n_points: int) -> CdfCurve:
     """FFT inversion of a CF to a density/CDF curve on [lo, hi].
 
-    The t-grid step is tied to the window (dt = 2pi/width); n_points doubles
-    until |cf(T)| at the top of the t-grid is below 1e-12, which controls the
-    ringing of the truncated transform.  The grid is filled one octave
+    The t-grid step is tied to the window (dt = 2pi/width); |cf(T)| at the
+    top of the t-grid, which controls the ringing of the truncated transform,
+    must be at most 1e-12, else InversionError.  The grid is filled one octave
     [k, 2k) of indices at a time from the bottom: cf gives the odd points
     (the octaves below k = 2^10 in one call), and double(phi, t), the law's
     doubling rule, gives the CF at 2t from its value phi at t, for the even
@@ -477,13 +462,9 @@ def invert_cf_curve(cf: Callable, double: Callable, lo: float, hi: float, n_poin
         raise InversionError(f"curve needs {n_points} grid points, above the {_MAX_POINTS} budget")
     dt = 2.0 * math.pi / width
     n = n_points
-    while True:
-        t_top = dt * (n - 1)
-        top = abs(cf(np.array([t_top]))[0])
-        if top <= _CF_FLOOR or n >= _MAX_POINTS:
-            break
-        n *= 2
-    if top > 1e-9:
+    t_top = dt * (n - 1)
+    top = abs(cf(np.array([t_top]))[0])
+    if top > _CF_FLOOR:
         raise InversionError(f"cf still {top:.2e} at end of t-grid (T={t_top:.1f})")
     t = dt * np.arange(n)
     phi, skipped = _fill_cf_grid(cf, double, t)
@@ -529,7 +510,7 @@ def wjg_cdf_curve(j: int, gamma: float) -> CdfCurve:
     ValueError.
     """
     gamma = float(gamma)
-    _eta(j, gamma)
+    eta_jgamma(j, gamma)
     return _wjg_curve(j, gamma)
 
 
@@ -656,6 +637,10 @@ def _term_table(gamma: float, star: bool, weight_tol: float, s_cut: int) -> _Ter
 def _mixture_table(gamma: float, xs: np.ndarray, star: bool, weight_tol: float):
     """The term table for the points xs, and the largest finite point."""
     _check_merging_gamma(gamma)
+    # every gamma has a level of weight above 0.23, so a tolerance below
+    # 0.2 always keeps one
+    if not 0.0 <= weight_tol < 0.2:
+        raise ValueError(f"weight_tol must lie in [0, 0.2), got {weight_tol}")
     if np.isnan(xs).any():
         raise ValueError("x must not be nan")
     finite = xs[np.isfinite(xs)]
@@ -847,16 +832,3 @@ def y_tail_parts(
         "value": leading * bracket,
         "reps": n,
     }
-
-
-def y_tail_rhs(
-    r: int,
-    gamma: float,
-    x: float,
-    y0_samples: np.ndarray = None,
-    truncation: int = 10_000,
-    reps: int = 200_000,
-    seed=0,
-) -> float:
-    """Tail asymptote of the trimmed limit Y_{r,gamma} at x (gamma x >= 2)."""
-    return y_tail_parts(r, gamma, x, y0_samples, truncation, reps, seed)["value"]

@@ -2,10 +2,10 @@
 
 Every sampler here draws through stpdist.seed_blocks, the one place where
 (seed, block index) maps to a random stream: results depend only on the master
-seed, never on worker count or batching, and each sub-block holds at most
-2^16 payoff draws (512 KB per array), so a classical draw's few in-place
-passes stay in cache and sampling adds a few MB to the process: 37 MB
-resident after 8192 replicates at n = 4096, against 30 MB after import.
+seed, never on batching, and each sub-block holds at most 2^16 payoff draws
+(512 KB per array), so a classical draw's few in-place passes stay in cache
+and sampling adds a few MB to the process: 37 MB resident after 8192
+replicates at n = 4096, against 30 MB after import.
 """
 
 from __future__ import annotations
@@ -168,6 +168,8 @@ def max_pmf_check(n: int, j_lo: int = -3, j_hi: int = 6, reps: int = 1_000_000, 
     limit weights p_{j,gamma_n}; agreement is O(1/n) plus MC noise."""
     from petersburg.limitlaw import p_weight
 
+    if j_lo > j_hi:
+        raise ValueError(f"need j_lo <= j_hi, got j_lo = {j_lo}, j_hi = {j_hi}")
     k0 = (n - 1).bit_length()  # ceil(log2 n)
     g = gamma_n(n)
     counts = np.zeros(j_hi - j_lo + 1, dtype=np.int64)
@@ -199,9 +201,8 @@ def chernoff_check(
     deviation is S_n/n minus the exact conditional per-game mean, and each
     empirical tail must stay below exp(-h(x)/eta) up to 3 sigma of MC noise.
     """
+    bounds = [chernoff_bound(n, j, None, float(x)) for x in xs]  # validates before drawing
     cap = (n - 1).bit_length() + j
-    if cap < 1:
-        raise ValueError("conditioning level below 1; raise j")
     mu = truncated_moment(1, cap)
     tails = np.zeros(len(xs), dtype=np.int64)
     xs_arr = np.asarray(xs, dtype=float)
@@ -209,9 +210,8 @@ def chernoff_check(
         z = sample_truncated_payoffs(cap, (rows, n), rng).sum(axis=1) / n - mu
         tails += (z[:, None] >= xs_arr[None, :]).sum(axis=0)
     rows = []
-    for x, cnt in zip(xs, tails):
+    for x, cnt, bound in zip(xs, tails, bounds):
         p = cnt / reps
-        bound = chernoff_bound(n, j, None, float(x))
         sigma = math.sqrt(max(p * (1 - p), 1.0 / reps) / reps)
         rows.append(
             {
@@ -238,6 +238,8 @@ def histogram_fig1(
     One draw pass feeds both: single big payoffs put the untrimmed sum near
     integer log2 values, giving disjoint side lobes that trimming removes.
     """
+    if not 0.0 < bin_width <= hi - lo:
+        raise ValueError(f"bin_width must lie in (0, {hi - lo}], got {bin_width}")
     nbins = int(round((hi - lo) / bin_width))
     edges = lo + bin_width * np.arange(nbins + 1)
     counts_full = np.zeros(nbins, dtype=np.int64)

@@ -428,6 +428,21 @@ def xi_and_f(gamma: float) -> tuple:
     return xi, f
 
 
+def eta_jgamma(j: int, gamma: float) -> float:
+    """eta = 2^j / gamma, the scale of the conditional limit W_{j,gamma}, for
+    a positive finite gamma; an eta that is not positive and finite raises
+    ValueError naming j and gamma."""
+    if not 0.0 < gamma < math.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    try:
+        eta = math.ldexp(1.0, j) / gamma
+    except OverflowError:
+        eta = math.inf
+    if not 0.0 < eta < math.inf:
+        raise ValueError(f"eta = 2^j/gamma must be positive and finite, got 2^{j}/{gamma}")
+    return eta
+
+
 def chernoff_h(x: float) -> float:
     """(2+x) ln(1+x/2) - x, the exponent of the conditional-limit tail bound;
     sandwiched between x^2/(4+x) and x^2/2, and infinite at x = inf."""
@@ -445,9 +460,6 @@ def chernoff_bound(n: int, j: int, gamma: float = None, x: float = 0.0) -> float
     if n < 1:
         raise ValueError("n must be >= 1")
     if j < 1 - (n - 1).bit_length():
-        raise ValueError("j below the admissible conditioning range for this n")
-    g = gamma_n(n) if gamma is None else gamma
-    if g <= 0:
-        raise ValueError("gamma must be > 0")
-    eta = math.ldexp(1.0, j) / g
+        raise ValueError(f"j = {j} leaves no payoff levels below the cap at n = {n}")
+    eta = eta_jgamma(j, gamma_n(n) if gamma is None else gamma)
     return math.exp(-chernoff_h(x) / eta)

@@ -50,7 +50,7 @@ MAPPING = {
     "cf_Wgamma": "limit-cdf",
     "gstar_cdf": "gstar-cdf",
     "sample_Y": "sample-y",
-    "y_tail_rhs": "y-tail",
+    "y_tail_parts": "y-tail",
     "a_const": "y-tail",
     "centering": "centering",
     "xi_and_f": "xi",
@@ -555,6 +555,24 @@ def test_validation_exits_2(capsys):
     assert rc == 2 and "x must be a number below 2^1024" in err
     rc, _, err = run(capsys, "quantile", "--u", "1.5")
     assert rc == 2
+    # each bad value is refused by the library function, which names it
+    cases = [
+        (("chernoff", "--n", "1024", "--j", "2000", "--x", "1"), "2^2000"),
+        (("chernoff", "--n", "1024", "--j", "0", "--x", "1", "--gamma", "0"),
+         "gamma must be positive and finite, got 0.0"),
+        (("chernoff-check", "--n", "1024", "--j", "2000", "--reps", "10", "--seed", "1"), "2^2000"),
+        (("max-check", "--n", "64", "--seed", "1", "--reps", "10", "--j-lo", "5", "--j-hi", "1"),
+         "j_lo = 5, j_hi = 1"),
+    ]
+    for tol in ("inf", "nan", "-1"):
+        cases.append((("gstar-cdf", "--gamma", "0.8", "--x", "1", "--weight-tol", tol),
+                      f"weight_tol must lie in [0, 0.2), got {float(tol)}"))
+    for width in ("0", "-1", "nan"):
+        cases.append((("fig1", "--seed", "1", "--reps", "10", "--bin-width", width),
+                      f"bin_width must lie in (0, 25.0], got {float(width)}"))
+    for argv, message in cases:
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2 and out == "" and message in err, (argv, err)
 
 
 def test_argparse_failures_exit_2(capsys):
@@ -609,8 +627,18 @@ def test_repro_all_quick_config(capsys, tmp_path):
 def test_config_keys_come_from_check_signatures():
     keys = [key for _name, _fn, fn_keys in ALL_CHECKS for key in fn_keys]
     # no two checks share a key, so each override reaches exactly one check
-    assert len(keys) == len(set(keys)) == len(DEFAULT_CONFIG) == 36
-    assert DEFAULT_CONFIG["merge_reps"] == 200_000 and type(DEFAULT_CONFIG["ks_tol"]) is float
+    assert len(keys) == len(set(keys)) == len(DEFAULT_CONFIG) == 16
+    assert DEFAULT_CONFIG["merge_reps"] == 200_000 and type(DEFAULT_CONFIG["y_truncation"]) is int
+    # a config sets seeds and sample sizes only; pass bounds are constants
+    assert all(key.endswith(("_count", "_seed", "_reps", "_truncation")) for key in keys)
+
+
+def test_repro_all_rejects_pass_bounds(capsys, tmp_path):
+    cfg = tmp_path / "loose.cfg"
+    cfg.write_text("ks_tol = 1.0\n")
+    rc, out, err = run(capsys, "repro-all", "--config", str(cfg))
+    assert rc == 2 and out == ""
+    assert "ks_tol" in err
 
 
 def test_repro_all_rejects_unknown_key(capsys, tmp_path):

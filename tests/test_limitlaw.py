@@ -155,8 +155,6 @@ def test_scalar_cf_is_the_one_point_array_cf():
     for backend in ("auto", "series"):
         with pytest.raises(ValueError, match="backend"):
             log_cf_f(1.0, 0.5, backend=backend)
-        with pytest.raises(ValueError, match="backend"):
-            cf_Wjgamma(0, 1.0, 0.5, backend=backend)
 
 
 def test_cf_rejects_non_finite_arguments():
@@ -319,6 +317,25 @@ def test_wgamma_curves_match_legacy(monkeypatch, hi):
         err = min(curve.error, legacy.error)
         assert float(np.max(np.abs(curve.cdf - legacy.cdf))) <= err
         assert float(np.max(np.abs(curve.density - legacy.density))) <= err
+
+
+def test_curve_builds_meet_the_cf_floor_on_their_first_grid(monkeypatch):
+    # invert_cf_curve never grows a grid, so every builder's first t-grid
+    # must already end where |cf| <= _CF_FLOOR; only that top point is probed
+    tops = []
+
+    def probe(cf, double, lo, hi, n_points):
+        dt = 2.0 * math.pi / (hi - lo)
+        tops.append(abs(cf(np.array([dt * (n_points - 1)]))[0]))
+
+    monkeypatch.setattr(limitlaw, "invert_cf_curve", probe)
+    for g in (0.5, 0.6, 0.75, 0.8, 0.9, 1.0):
+        for j in range(-25, 16):
+            limitlaw._wjg_curve.__wrapped__(j, g)
+        for hi in (64.0, 3072.0, 24576.0, 1e5):
+            limitlaw._wgamma_curve.__wrapped__(g, hi)
+    assert len(tops) == 6 * (41 + 4)
+    assert max(tops) <= limitlaw._CF_FLOOR
 
 
 def test_wjg_curves_match_legacy(monkeypatch):
