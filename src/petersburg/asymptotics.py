@@ -81,8 +81,8 @@ def finer_as_rhs(n: int, r: int, m: int, c: float) -> float:
     """
     if not (0 <= r < n):
         raise ValueError("need 0 <= r < n")
-    if c <= 1.0:
-        raise ValueError("c must be > 1")
+    if not 1.0 < c < math.inf:
+        raise ValueError(f"c must lie in (1, inf), got {c}")
     if m < 1:
         raise ValueError("m must be >= 1")
     inner, _backend = _inner_sum_tail(n - r - 1, c)

@@ -262,9 +262,9 @@ def check_y_tail_bracket(
 ) -> CheckResult:
     """Sampled limit-series tails against the bracket formula, sharing one
     sample array between the empirical side and the formula's inner terms."""
-    ys = np.sort(sample_Y(0, 1.0, truncation=y_truncation, reps=y_reps, seed=y_seed))
-    emp = EmpiricalTail(samples=ys, reps=ys.size)
-    ratios = [emp.tail(x) / y_tail_parts(0, 1.0, x, y0_samples=ys)["value"]
+    emp = EmpiricalTail.from_samples(sample_Y(0, 1.0, truncation=y_truncation, reps=y_reps,
+                                              seed=y_seed))
+    ratios = [emp.tail(x) / y_tail_parts(0, 1.0, x, y0_samples=emp.samples)["value"]
               for x in (96.0, 192.0)]
     band = [x * emp.tail(x) for x in dyadic_grid(4, 10, 4)]
     ok = all(_Y_RATIO_LO <= v <= _Y_RATIO_HI for v in ratios)

@@ -309,14 +309,14 @@ def _cmd_gstar_cdf(args) -> int:
 
     if args.x_lin is not None:
         xs = _parse_lin(args.x_lin, "--x-lin")
-        vals = gstar_cdf(args.gamma, xs, weight_tol=args.weight_tol)
-        errs = gstar_cdf_error(args.gamma, xs, weight_tol=args.weight_tol)
+        vals = gstar_cdf(args.gamma, xs)
+        errs = gstar_cdf_error(args.gamma, xs)
         rows = [(float(x), float(v), float(e), "series") for x, v, e in zip(xs, vals, errs)]
         _emit(args, _csv("x,value,error_estimate,backend", rows))
         return 0
     if args.x is None:
         raise ValueError("--x or --x-lin is required")
-    value = float(gstar_cdf(args.gamma, args.x, weight_tol=args.weight_tol))
+    value = gstar_cdf(args.gamma, args.x)
     _emit(args, _jdump({"gamma": args.gamma, "x": args.x, "value": value}))
     return 0
 
@@ -599,7 +599,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--gamma", type=float, required=True)
     sp.add_argument("--x", type=float, default=None)
     sp.add_argument("--x-lin", help="grid spec lo:hi:count")
-    sp.add_argument("--weight-tol", type=float, default=1e-10)
     sp.set_defaults(func=_cmd_gstar_cdf)
 
     sp = sub.add_parser("sample-y", parents=[common],

@@ -575,6 +575,7 @@ def curve_moments(curve: CdfCurve) -> tuple:
 
 _COLLAPSE_X_MAX = 4096.0  # the collapse window never reaches beyond this x
 _R_TERMS = 399  # most Poisson counts m a mixture level sums
+_WEIGHT_TOL = 1e-10  # levels with p_j below this are left out
 _LOG_FACT = np.array([math.lgamma(m + 1.0) for m in range(1, _R_TERMS + 1)])
 _TABLE_CACHE_SIZE = 64
 # elements of one (points x terms) evaluation block: each of eval's dozen
@@ -596,7 +597,7 @@ class _TermTable(NamedTuple):
 
 
 @functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def _term_table(gamma: float, star: bool, weight_tol: float, s_cut: int) -> _TermTable:
+def _term_table(gamma: float, star: bool, s_cut: int) -> _TermTable:
     # terms p_j r_j(m) for the level j of the maximum and its Poisson count m;
     # conditional curve j-1, shifted by (m-1) 2^j/gamma (m 2^j/gamma untrimmed)
     m = np.arange(1, _R_TERMS + 1)
@@ -605,7 +606,7 @@ def _term_table(gamma: float, star: bool, weight_tol: float, s_cut: int) -> _Ter
     used = 0.0
     for j in range(-8, 64):
         pj = p_weight(j, gamma)
-        if pj < weight_tol:
+        if pj < _WEIGHT_TOL:
             if j > 4 and used > 1.0 - 1e-9:
                 break
             continue
@@ -634,33 +635,29 @@ def _term_table(gamma: float, star: bool, weight_tol: float, s_cut: int) -> _Ter
     return _TermTable(table, max(0.0, 1.0 - kept), kept - weights)
 
 
-def _mixture_table(gamma: float, xs: np.ndarray, star: bool, weight_tol: float):
+def _mixture_table(gamma: float, xs: np.ndarray, star: bool):
     """The term table for the points xs, and the largest finite point."""
     _check_merging_gamma(gamma)
-    # every gamma has a level of weight above 0.23, so a tolerance below
-    # 0.2 always keeps one
-    if not 0.0 <= weight_tol < 0.2:
-        raise ValueError(f"weight_tol must lie in [0, 0.2), got {weight_tol}")
     if np.isnan(xs).any():
         raise ValueError("x must not be nan")
     finite = xs[np.isfinite(xs)]
     finite_hi = float(finite.max()) if finite.size else 0.0
     x_hi = min(max(finite_hi, 64.0), _COLLAPSE_X_MAX)
-    table = _term_table(float(gamma), star, float(weight_tol), _collapse_cut(gamma, x_hi))
+    table = _term_table(float(gamma), star, _collapse_cut(gamma, x_hi))
     return table, finite_hi
 
 
-def _mixture_cdf(gamma: float, xs: np.ndarray, star: bool, weight_tol: float) -> np.ndarray:
+def _mixture_cdf(gamma: float, xs: np.ndarray, star: bool) -> np.ndarray:
     """Mixture CDF at xs from the cached term table: per conditional curve,
     one (points x terms) evaluation of the shifted curve times the weights.
 
     Curves are read through wjg_cdf_curve on every call, so its cache stays
-    their only owner.  Levels with p_j < weight_tol are skipped; a level's
+    their only owner.  Levels with p_j < 1e-10 are skipped; a level's
     counts m stop at cumulative weight 1 - 1e-12 (at most 399); curves above
     the collapse cut (set by the largest finite x, within 4096) are the cut's
     curve times the no-big-jump factor.
     """
-    table, finite_hi = _mixture_table(gamma, xs, star, weight_tol)
+    table, finite_hi = _mixture_table(gamma, xs, star)
     acc = np.zeros_like(xs)
     for jj, shifts, weights in table.groups:
         curve = wjg_cdf_curve(jj, gamma)
@@ -677,22 +674,22 @@ def _mixture_cdf(gamma: float, xs: np.ndarray, star: bool, weight_tol: float) ->
     return acc
 
 
-def gstar_cdf(gamma: float, x, weight_tol: float = 1e-10):
+def gstar_cdf(gamma: float, x):
     """CDF of the trimmed merging limit: the double mixture of conditional
     curves G_{j-1} shifted by (m-1) 2^j/gamma with weights p_j r_j(m).
 
-    The terms come from a table cached per (gamma, weight_tol, collapse cut);
+    The terms come from a table cached per (gamma, collapse cut);
     gstar_cdf_error gives the matching error estimate.  Exactly 0 at -inf and
     1 at +inf; nan raises ValueError.
     """
     scalar = np.ndim(x) == 0
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    out = _mixture_cdf(gamma, xs, star=True, weight_tol=weight_tol)
+    out = _mixture_cdf(gamma, xs, star=True)
     return float(out[0]) if scalar else out
 
 
-def gstar_cdf_error(gamma: float, x, weight_tol: float = 1e-10):
-    """Error estimate of gstar_cdf(gamma, x, weight_tol) at each x.
+def gstar_cdf_error(gamma: float, x):
+    """Error estimate of gstar_cdf(gamma, x) at each x.
 
     The sum of the mixture weight the term table leaves out (skipped levels,
     count tails, negligible terms), the ``error`` of each conditional curve it
@@ -702,7 +699,7 @@ def gstar_cdf_error(gamma: float, x, weight_tol: float = 1e-10):
     """
     scalar = np.ndim(x) == 0
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    table, _ = _mixture_table(gamma, xs, True, weight_tol)
+    table, _ = _mixture_table(gamma, xs, True)
     curves = math.fsum(
         float(w.sum()) * wjg_cdf_curve(jj, gamma).error for jj, _, w in table.groups
     )
@@ -711,12 +708,12 @@ def gstar_cdf_error(gamma: float, x, weight_tol: float = 1e-10):
     return float(out[0]) if scalar else out
 
 
-def gmix_cdf(gamma: float, x, weight_tol: float = 1e-10):
+def gmix_cdf(gamma: float, x):
     """Untrimmed limit CDF assembled from the same mixture (shifts m 2^j/gamma);
     cross-checks the direct cf_Wgamma inversion."""
     scalar = np.ndim(x) == 0
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    out = _mixture_cdf(gamma, xs, star=False, weight_tol=weight_tol)
+    out = _mixture_cdf(gamma, xs, star=False)
     return float(out[0]) if scalar else out
 
 
@@ -738,7 +735,7 @@ def sample_Y(
     gamma: float,
     truncation: int = 10_000,
     reps: int = 1,
-    seed=None,
+    seed: int = 0,
 ) -> np.ndarray:
     """Seeded draws of the truncated series sum_{k=r+1}^N (Psi(Z_k/gamma)/Z_k
     - Psi(k/gamma)/k) with Z_k the unit Poisson arrival times.
@@ -753,12 +750,11 @@ def sample_Y(
         raise ValueError("gamma must be positive and finite")
     if truncation < r + 1:
         raise ValueError("truncation must be >= r + 1")
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
+    blocks = seed_blocks(seed, reps)  # validates seed and reps
     center = series_center(r, gamma, truncation)
     out = np.empty(reps)
     pos = 0
-    for rng, rows in seed_blocks(seed, reps):
+    for rng, rows in blocks:
         out[pos : pos + rows] = _sample_chunk_block(r, gamma, truncation, rows, rng)
         pos += rows
     return out - center
@@ -806,14 +802,17 @@ def y_tail_parts(
     x(1 - 2^(ell - {log2(gamma x)})), and the assembled bracket."""
     if r < 0:
         raise ValueError("r must be >= 0")
+    if not 0.0 < gamma < math.inf:
+        raise ValueError("gamma must be positive and finite")
     gx = gamma * x
     if gx < 2.0:
         raise ValueError("need gamma * x >= 2")
+    fl = floor_log2(gx)  # refuses a non-finite x before any draw
     if y0_samples is None:
         y0_samples = sample_Y(0, gamma, truncation, reps, seed)
-    ys = np.sort(np.asarray(y0_samples) + a_const(r, gamma))
+    # counted, not sorted: the same numbers as a search of the sorted sample
+    ys = np.asarray(y0_samples) + a_const(r, gamma)
     n = len(ys)
-    fl = floor_log2(gx)
     # psi(gx)/x = gamma 2^-fl: the power of x never forms, so nothing overflows
     leading = math.ldexp(gamma ** (r + 1) / math.factorial(r + 1), -(r + 1) * fl)
     inner = []
@@ -821,7 +820,7 @@ def y_tail_parts(
         # x(1 - 2^(ell - frac)) = x - 2^(fl + ell)/gamma, halved and doubled
         # exactly so that 2^(fl + ell) cannot overflow at x near the float max
         thr = 2.0 * (0.5 * x - math.ldexp(1.0 / gamma, fl + ell - 1))
-        inner.append(float(n - np.searchsorted(ys, thr, side="right")) / n)
+        inner.append(float(np.count_nonzero(ys > thr)) / n)
     scale = float(1 << (r + 1))
     bracket = 1.0 / scale + (scale - 1.0) * (inner[0] + inner[1] / scale)
     return {

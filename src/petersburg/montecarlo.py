@@ -65,12 +65,14 @@ class EmpiricalTail:
     """Sorted sample with tail lookups and a conservative CI half-width."""
 
     samples: np.ndarray
-    reps: int
 
     @classmethod
     def from_samples(cls, samples) -> "EmpiricalTail":
-        s = np.sort(np.asarray(samples, dtype=float))
-        return cls(samples=s, reps=len(s))
+        return cls(np.sort(np.asarray(samples, dtype=float)))
+
+    @property
+    def reps(self) -> int:
+        return self.samples.size
 
     def tail(self, x) -> float:
         idx = np.searchsorted(self.samples, x, side="right")
@@ -226,18 +228,14 @@ def chernoff_check(
 
 
 def histogram_fig1(
-    n: int = 128,
-    reps: int = 1_000_000,
-    seed: int = 0,
-    bin_width: float = 0.25,
-    lo: float = 7.0,
-    hi: float = 32.0,
+    n: int = 128, reps: int = 1_000_000, seed: int = 0, bin_width: float = 0.25
 ) -> dict:
-    """Paired histograms of log2(S_n) and log2(S_n - max payoff).
+    """Paired histograms of log2(S_n) and log2(S_n - max payoff) on [7, 32].
 
     One draw pass feeds both: single big payoffs put the untrimmed sum near
     integer log2 values, giving disjoint side lobes that trimming removes.
     """
+    lo, hi = 7.0, 32.0
     if not 0.0 < bin_width <= hi - lo:
         raise ValueError(f"bin_width must lie in (0, {hi - lo}], got {bin_width}")
     nbins = int(round((hi - lo) / bin_width))
@@ -260,15 +258,15 @@ def histogram_fig1(
     }
 
 
-def side_lobe_stats(hist: dict, min_count: int = 0) -> dict:
+def side_lobe_stats(hist: dict) -> dict:
     """Side-lobe mass above the threshold for both histograms, plus the count
-    of disjoint lobes (maximal runs of bins exceeding min_count)."""
+    of disjoint lobes (maximal runs of non-empty bins)."""
     edges = hist["edges"]
     centers = 0.5 * (edges[:-1] + edges[1:])
     above = centers > hist["lobe_threshold"]
     mass_full = int(hist["counts_untrimmed"][above].sum())
     mass_trim = int(hist["counts_trimmed"][above].sum())
-    hot = (hist["counts_untrimmed"] > min_count) & above
+    hot = (hist["counts_untrimmed"] > 0) & above
     lobes = int(np.sum(hot[1:] & ~hot[:-1]) + (1 if hot[0] else 0))
     return {
         "mass_untrimmed": mass_full,

@@ -18,6 +18,7 @@ subcommands of the CLI never load it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,7 +35,6 @@ __all__ = [
     "truncated_cdf",
     "truncated_moment",
     "sample_levels",
-    "sample_truncated_levels",
     "sample_payoffs",
     "sample_truncated_payoffs",
     "SEED_BLOCK",
@@ -120,6 +120,8 @@ def frac_log2(x) -> float:
 def _floor_frac_log_general(x: float, params: GameParams) -> tuple[int, float]:
     # floor and fractional part of log_{1/q}(x^alpha), with snapping so that
     # grid points q^(-k/alpha) land on integer index despite float logs.
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x}")
     t = params.alpha * math.log(x) / -math.log(params.q)
     r = round(t)
     if abs(t - r) <= _LOG_SNAP * max(1.0, abs(t)):
@@ -209,7 +211,7 @@ def truncated_moment(ell: int, k: int) -> float:
 
 
 def seed_blocks(seed, reps: int, row_len: int = 1):
-    """Yield (rng, rows) over reps replicates in replicate order.
+    """An iterator of (rng, rows) over reps replicates in replicate order.
 
     Block i covers replicates [i*SEED_BLOCK, (i+1)*SEED_BLOCK) and draws from
     the i-th child of SeedSequence(seed), so replicate j depends on (seed, j)
@@ -222,16 +224,28 @@ def seed_blocks(seed, reps: int, row_len: int = 1):
     on the sub-block, which the cap keeps at the whole 65536-row block, and
     its prefix promise holds only in whole blocks.  The cap therefore must
     not go below 2^16.
+
+    The seed must be a non-negative integer (None, which would draw OS
+    entropy, is refused) and reps at least 1; either fault raises ValueError
+    naming it when seed_blocks is called, before any draw.
     """
     import numpy as np
 
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
     sub = max(1, min(SEED_BLOCK, (1 << 16) // row_len))
     children = np.random.SeedSequence(seed).spawn((reps + SEED_BLOCK - 1) // SEED_BLOCK)
-    for i, ss in enumerate(children):
-        rng = np.random.default_rng(ss)
-        b = min(SEED_BLOCK, reps - i * SEED_BLOCK)
-        for done in range(0, b, sub):
-            yield rng, min(sub, b - done)
+
+    def blocks():
+        for i, ss in enumerate(children):
+            rng = np.random.default_rng(ss)
+            b = min(SEED_BLOCK, reps - i * SEED_BLOCK)
+            for done in range(0, b, sub):
+                yield rng, min(sub, b - done)
+
+    return blocks()
 
 
 _EXPONENT_MASK = 0x7FF << 52
@@ -312,11 +326,6 @@ def sample_levels(count, rng: np.random.Generator, params: GameParams = CLASSICA
     v = 1.0 - rng.random(count)  # v in (0, 1]
     k = np.ceil(np.log(v) / math.log(params.q))
     return np.maximum(k, 1.0).astype(np.int64)
-
-
-def sample_truncated_levels(k: int, count, rng: np.random.Generator) -> np.ndarray:
-    """Classical levels conditioned on K <= k, atom-exact via the same exponent kernel."""
-    return payoff_levels(sample_truncated_payoffs(k, count, rng))
 
 
 # ---------------------------------------------------------------------------

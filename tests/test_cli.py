@@ -333,7 +333,7 @@ def test_gstar_cdf_curve(capsys):
     lines = out.strip().split("\n")
     assert lines[0] == "x,value,error_estimate,backend"
     assert all(ln.endswith(",series") for ln in lines[1:])
-    # the error column is the mixture's own estimate, above --weight-tol
+    # the error column is the mixture's own estimate, above its 1e-10 level cut
     rc, out, _ = run(capsys, "gstar-cdf", "--gamma", "0.75", "--x-lin=0:5000:3")
     rows = [ln.split(",") for ln in out.strip().split("\n")[1:]]
     xs = np.array([float(r[0]) for r in rows])
@@ -564,9 +564,19 @@ def test_validation_exits_2(capsys):
         (("max-check", "--n", "64", "--seed", "1", "--reps", "10", "--j-lo", "5", "--j-hi", "1"),
          "j_lo = 5, j_hi = 1"),
     ]
-    for tol in ("inf", "nan", "-1"):
-        cases.append((("gstar-cdf", "--gamma", "0.8", "--x", "1", "--weight-tol", tol),
-                      f"weight_tol must lie in [0, 0.2), got {float(tol)}"))
+    # samplers refuse a bad --reps or --seed through seed_blocks
+    for argv in (("max-check", "--n", "4"), ("chernoff-check", "--n", "64", "--j", "0"),
+                 ("fig1",)):
+        cases.append(((*argv, "--reps", "0", "--seed", "1"), "reps must be >= 1, got 0"))
+    cases.append((("mc-sim", "--n", "4", "--reps", "5", "--seed", "-1"),
+                  "seed must be a non-negative integer, got -1"))
+    # non-finite thresholds on the generalized-game and finer-as paths
+    for game in (("tail",), ("gen-tail", "--n", "3")):
+        cases.append(((*game, "--p", "0.3", "--x", "inf"), "x must be finite, got inf"))
+    cases.append((("gen-tail", "--n", "3", "--p", "0.3", "--x", "nan"), "x must be finite, got nan"))
+    for c in ("nan", "inf"):
+        cases.append((("finer-as", "--n", "1", "--m", "5", "--c", c),
+                      f"c must lie in (1, inf), got {c}"))
     for width in ("0", "-1", "nan"):
         cases.append((("fig1", "--seed", "1", "--reps", "10", "--bin-width", width),
                       f"bin_width must lie in (0, 25.0], got {float(width)}"))
@@ -575,11 +585,24 @@ def test_validation_exits_2(capsys):
         assert rc == 2 and out == "" and message in err, (argv, err)
 
 
+def test_y_tail_refuses_non_finite_x_before_drawing(capsys, monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("y-tail drew a sample")
+
+    monkeypatch.setattr(limitlaw, "sample_Y", no_draws)
+    for x in ("nan", "inf"):
+        rc, out, err = run(capsys, "y-tail", "--gamma", "1", "--x", x, "--seed", "1")
+        assert rc == 2 and out == "" and "x must be positive and finite" in err, err
+
+
 def test_argparse_failures_exit_2(capsys):
     assert run(capsys, "bogus-subcommand")[0] == 2
     assert run(capsys, "xi", "--gamma", "1.0", "--bogus")[0] == 2
     # there is no --threads flag: it fails like any unknown flag
     assert run(capsys, "xi", "--gamma", "1.0", "--threads", "1")[0] == 2
+    # nor a --weight-tol flag: the mixture's level cut is a constant
+    for tol in ("inf", "nan", "-1"):
+        assert run(capsys, "gstar-cdf", "--gamma", "0.8", "--x", "1", "--weight-tol", tol)[0] == 2
     # stochastic subcommands refuse to run unseeded
     assert run(capsys, "mc-sim", "--n", "4", "--reps", "100")[0] == 2
     assert run(capsys, "y-tail", "--gamma", "1.0", "--x", "96", "--reps", "10")[0] == 2

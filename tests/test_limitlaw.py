@@ -44,6 +44,7 @@ from petersburg.stpdist import (
     centering_closed,
     chernoff_bound,
     chernoff_h,
+    floor_log2,
     gamma_n,
     psi,
     xi_and_f,
@@ -433,20 +434,30 @@ def test_gstar_cdf_shape():
     assert vals[-1] > 0.99
 
 
+def _assert_mixtures_match_legacy(gamma, x, tol):
+    for star, fn in ((True, gstar_cdf), (False, gmix_cdf)):
+        got = fn(gamma, x)
+        want = legacy_mixture_cdf(gamma, x, star, tol)
+        assert np.ndim(got) == np.ndim(x)
+        assert float(np.max(np.abs(got - want))) <= 1e-13
+
+
 @pytest.mark.parametrize("gamma", [0.5, 0.6, 0.75, 0.9, 1.0])
-def test_term_table_matches_legacy_loop(gamma):
+def test_term_table_matches_legacy_loop(gamma, monkeypatch):
     # the cached term table sums the same terms as the per-(j, m) loop, only
     # grouped per conditional curve, so the floats move by rounding alone
-    inputs = [(1.3, 1e-10), (np.linspace(-4.0, 40.0, 2000), 1e-10),
-              (np.linspace(-4.0, 1900.0, 2000), 1e-10), (np.linspace(-2.0, 12.0, 57), 1e-6)]
-    for x, tol in inputs:
-        for star, fn in ((True, gstar_cdf), (False, gmix_cdf)):
-            got = fn(gamma, x, weight_tol=tol)
-            want = legacy_mixture_cdf(gamma, x, star, tol)
-            assert np.ndim(got) == np.ndim(x)
-            assert float(np.max(np.abs(got - want))) <= 1e-13
+    for x in (1.3, np.linspace(-4.0, 40.0, 2000), np.linspace(-4.0, 1900.0, 2000)):
+        _assert_mixtures_match_legacy(gamma, x, 1e-10)
     assert gstar_cdf(gamma, np.array([])).shape == (0,)
     assert gmix_cdf(gamma, []).shape == (0,)
+    # a coarser level cut skips more levels the same way in both; the cache
+    # is emptied on both sides so no table of the patched cut outlives the test
+    monkeypatch.setattr(limitlaw, "_WEIGHT_TOL", 1e-6)
+    limitlaw._term_table.cache_clear()
+    try:
+        _assert_mixtures_match_legacy(gamma, np.linspace(-2.0, 12.0, 57), 1e-6)
+    finally:
+        limitlaw._term_table.cache_clear()
 
 
 def test_gstar_edges_warn_nothing():
@@ -467,17 +478,18 @@ def test_gstar_edges_warn_nothing():
 
 
 def test_gstar_error_covers_what_the_mixture_leaves_out():
-    g, tol = 0.75, 1e-10
+    g = 0.75
     xs = np.linspace(-4.0, 40.0, 45)
-    err = gstar_cdf_error(g, xs, tol)
-    # the skipped levels alone weigh 2.1e-10 here, more than weight_tol
+    err = gstar_cdf_error(g, xs)
+    # the skipped levels alone weigh 2.1e-10 here, more than the 1e-10 level cut
     assert np.all(err > 2e-10)
-    assert float(np.max(np.abs(gstar_cdf(g, xs, tol) - gstar_cdf(g, xs, 1e-14)))) <= err.min()
+    fine = legacy_mixture_cdf(g, xs, True, weight_tol=1e-14)
+    assert float(np.max(np.abs(gstar_cdf(g, xs) - fine))) <= err.min()
     # above the collapse window the collapse factors' deficit joins in
     far = np.array([100.0, 5000.0, 1e300])
-    err_far = gstar_cdf_error(g, far, tol)
+    err_far = gstar_cdf_error(g, far)
     assert err_far[0] < 1e-9 < err_far[1] == err_far[2]
-    assert 1.0 - gstar_cdf(g, 1e300, tol) <= err_far[2]
+    assert 1.0 - gstar_cdf(g, 1e300) <= err_far[2]
 
 
 def test_curve_caches_are_bounded(monkeypatch):
@@ -512,6 +524,9 @@ def test_sample_y_deterministic_and_shaped():
     assert not np.array_equal(a, c)
     assert a.shape == (64,)
     assert np.all(np.isfinite(a))
+    # the default seed is 0, never OS entropy
+    assert np.array_equal(sample_Y(1, 0.75, truncation=500, reps=8),
+                          sample_Y(1, 0.75, truncation=500, reps=8, seed=0))
 
 
 def test_sample_y_prefix_holds_in_whole_blocks():
@@ -570,6 +585,28 @@ def test_y_tail_leading_matches_power_formula():
                 want = psi(gamma * x) ** (r + 1) / (math.factorial(r + 1) * x ** (r + 1))
                 got = y_tail_parts(r, gamma, x, y0_samples=np.zeros(4))["leading"]
                 assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_y_tail_counts_match_a_sorted_search():
+    # the inner terms count exceedances of the unsorted shifted sample; a
+    # right-sided search of the sorted one gives the same numbers exactly
+    r, g = 2, 0.75
+    ys = sample_Y(0, g, truncation=500, reps=5000, seed=41)
+    assert np.any(np.diff(ys) < 0)
+    shifted = np.sort(ys + a_const(r, g))
+    seen = []
+    for x in (6.0, 12.5, 40.0, 96.0):
+        parts = y_tail_parts(r, g, x, y0_samples=ys)
+        fl = floor_log2(g * x)
+        want = []
+        for ell in (0, 1):
+            thr = 2.0 * (0.5 * x - math.ldexp(1.0 / g, fl + ell - 1))
+            want.append(float(ys.size - np.searchsorted(shifted, thr, side="right")) / ys.size)
+        assert (parts["inner0"], parts["inner1"]) == tuple(want)
+        bracket = 1.0 / 8.0 + 7.0 * (want[0] + want[1] / 8.0)
+        assert parts["value"] == parts["leading"] * bracket
+        seen += want
+    assert sum(0.0 < v < 1.0 for v in seen) >= 4
 
 
 def test_a_const_values():

@@ -2,6 +2,7 @@
 figure/check helpers at desk-scale replication counts."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from petersburg.montecarlo import (
     simulate_trimmed,
     trimmed_merge_check,
 )
-from petersburg.stpdist import GameParams
+from petersburg.stpdist import GameParams, seed_blocks
 
 
 def test_simplan_validation():
@@ -39,6 +40,7 @@ def test_simplan_validation():
 def test_empirical_tail_lookup():
     et = EmpiricalTail.from_samples([3.0, 1.0, 2.0])
     assert np.array_equal(et.samples, [1.0, 2.0, 3.0])
+    assert et.reps == 3
     assert et.tail(0.5) == 1.0
     assert et.tail(1.0) == pytest.approx(2.0 / 3.0)
     assert et.tail(2.5) == pytest.approx(1.0 / 3.0)
@@ -60,6 +62,23 @@ def test_seed_blocks_give_prefix_stability():
     a = _draw_trimmed_sums(SimPlan(n=3, r=1, reps=70_000, master_seed=3))
     b = _draw_trimmed_sums(SimPlan(n=3, r=1, reps=100_000, master_seed=3))
     assert np.array_equal(a[:65536], b[:65536])
+    # a numpy integer is an integer seed
+    assert next(seed_blocks(np.int64(3), 1))[1] == 1
+
+
+@pytest.mark.parametrize("seed, reps, message", [
+    (1, 0, "reps must be >= 1, got 0"),
+    (1, -5, "reps must be >= 1, got -5"),
+    (-1, 10, "seed must be a non-negative integer, got -1"),
+    (None, 10, "seed must be a non-negative integer, got None"),
+    (1.5, 10, "seed must be a non-negative integer, got 1.5"),
+], ids=["reps-zero", "reps-negative", "seed-negative", "seed-none", "seed-float"])
+def test_seed_blocks_refuse_bad_seed_and_reps_when_called(seed, reps, message):
+    # the refusal comes from the call itself, before any block is drawn
+    with pytest.raises(ValueError, match=re.escape(message)):
+        seed_blocks(seed, reps)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sample_Y(0, 1.0, truncation=100, reps=reps, seed=seed)
 
 
 def _pmf_raw():
@@ -191,7 +210,7 @@ def test_chernoff_check_no_violations():
 
 def test_fig1_trimming_kills_side_lobes():
     hist = histogram_fig1(reps=200_000, seed=12)
-    stats = side_lobe_stats(hist, min_count=5)
+    stats = side_lobe_stats(hist)
     assert stats["ratio"] < 0.25
     assert stats["lobes_untrimmed"] >= 2
     assert stats["mass_trimmed"] < stats["mass_untrimmed"]

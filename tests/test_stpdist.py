@@ -17,11 +17,11 @@ from petersburg.stpdist import (
     floor_log2,
     frac_log2,
     gamma_n,
+    payoff_levels,
     psi,
     quantile,
     sample_levels,
     sample_payoffs,
-    sample_truncated_levels,
     sample_truncated_payoffs,
     series_center,
     tail,
@@ -201,7 +201,7 @@ def test_classical_payoffs_are_exact_powers():
 def test_truncated_sampling_respects_cap():
     rng = np.random.default_rng(13)
     k = 6
-    levels = sample_truncated_levels(k, 200_000, rng)
+    levels = payoff_levels(sample_truncated_payoffs(k, 200_000, rng))
     assert levels.min() >= 1
     assert levels.max() <= k
     # renormalized level frequencies
@@ -241,7 +241,8 @@ def _check_samplers(u):
     assert np.array_equal(sample_payoffs(shape, FixedUniforms(u)), np.ldexp(1.0, want))
     for cap in (1, 2, 10, 53):
         want = np.minimum(frexp_levels(1.0 - u * (1.0 - 2.0**-cap)), cap)
-        assert np.array_equal(sample_truncated_levels(cap, shape, FixedUniforms(u)), want)
+        assert np.array_equal(payoff_levels(sample_truncated_payoffs(cap, shape, FixedUniforms(u))),
+                              want)
         assert np.array_equal(sample_truncated_payoffs(cap, shape, FixedUniforms(u)),
                               np.ldexp(1.0, want))
 
@@ -266,7 +267,8 @@ def test_truncated_sampler_stays_below_cap_one_at_largest_uniform():
     # one payoff 2
     u = np.array([0.0, 0.5, 1.0 - 2.0**-53])
     assert np.array_equal(sample_truncated_payoffs(1, u.shape, FixedUniforms(u)), [2.0, 2.0, 2.0])
-    assert np.array_equal(sample_truncated_levels(1, u.shape, FixedUniforms(u)), [1, 1, 1])
+    assert np.array_equal(payoff_levels(sample_truncated_payoffs(1, u.shape, FixedUniforms(u))),
+                          [1, 1, 1])
 
 
 def test_series_center_matches_fsum_oracle_bit_for_bit():
