@@ -9,15 +9,18 @@ as x grows, where psi is the doubling-periodic mantissa function.  The inner
 threshold x*(1 - 2^-{log2 x}) equals x - 2^floor(log2 x) exactly, and the
 subtraction is exact in floats (Sterbenz), so the inner probability never
 suffers the boundary rounding that plagues the log-space form at x = 3*2^m.
+Classical inner probabilities are exact; generalized (alpha, p) ones come
+from a deterministic grid engine that brackets them and reports the error.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
-from petersburg.stpdist import CLASSICAL, GameParams, floor_log2, frac_log2
-from petersburg.exact import enum_oracle, sum_tail_exact, trimmed_tail_exact
+from petersburg.stpdist import CLASSICAL, GameParams, _floor_frac_log_general, floor_log2, frac_log2
+from petersburg.exact import sum_tail_exact, trimmed_tail_exact
 
 __all__ = [
     "TailAsymptote",
@@ -34,15 +37,16 @@ __all__ = [
 class TailAsymptote:
     """Leading power term and the bracket correction, kept separate.
 
-    value = leading * correction; correction always lies in [1, 2^(r+1)].
-    inner_backend records how the inner probability was computed: "exact",
-    or "none" when the inner sum is empty.
+    value = leading * correction, correction in [1, q^-(r+1)]; error bounds
+    the absolute error of value.  inner_backend says how the inner probability
+    was computed: "exact" (classical), "grid" (generalized) or "none" (no sum).
     """
 
     leading: float
     correction: float
     inner_prob: float
     inner_backend: str
+    error: float = 0.0
 
     @property
     def value(self) -> float:
@@ -105,47 +109,71 @@ def subexp_limits(params: GameParams = CLASSICAL) -> tuple:
     return 2.0, limsup
 
 
-def gen_snr_tail_rhs(
-    n: int,
-    r: int,
-    x,
-    params: GameParams = CLASSICAL,
-    mc_reps: int = 400_000,
-    mc_seed=0,
-) -> float:
+_GRID = 1 << 16  # cells of [0, t] in the generalized inner-sum engine
+
+
+def _gen_sum_tail(m: int, t: float, params: GameParams) -> tuple:
+    """P{S_m > t} for the sum of m generalized games, as (value, error).
+
+    The law of the partial sums lives on the 2^16 + 1 cells of [0, t]; each
+    of the m steps adds one payoff by a shifted add per occupied payoff cell
+    and collects the mass that passes t (payoffs above t pass at once).
+    Payoffs rounded down to their cells give a lower bound, rounded up an
+    upper bound; value is the midpoint (at most 1) and error the half-gap.
+    Exact rational indices never split a payoff on a cell edge, and summing
+    mass as it passes, not as 1 minus the rest, keeps small tails accurate.
+    """
+    import numpy as np
+
+    cells, probs, k = [], [], 1
+    while (v := params.payoff(k)) <= t:
+        cells.append(Fraction(v) * _GRID / Fraction(t))
+        probs.append(params.level_prob(k))
+        k += 1
+    beyond = params.q ** (k - 1)  # P{one payoff > t}
+    bounds = []
+    for rnd in (math.floor, math.ceil):
+        pmf = np.bincount([rnd(c) for c in cells], weights=probs, minlength=_GRID + 1)
+        occupied = np.flatnonzero(pmf)
+        law = np.zeros(_GRID + 1)
+        law[0] = 1.0
+        passed = []
+        for _ in range(m):
+            top = np.concatenate(([0.0], np.cumsum(law[::-1])))  # top[c]: top c cells
+            passed.append(beyond * top[-1])
+            passed.extend(pmf[occupied] * top[occupied])
+            new = np.zeros_like(law)
+            for c in occupied:
+                new[c:] += pmf[c] * law[: _GRID + 1 - c]
+            law = new
+        bounds.append(math.fsum(passed))
+    lo, hi = bounds
+    return min(1.0, 0.5 * (lo + hi)), 0.5 * (hi - lo)
+
+
+def gen_snr_tail_rhs(n: int, r: int, x, params: GameParams = CLASSICAL) -> TailAsymptote:
     """Trimmed-sum tail asymptote for the generalized (alpha, p) game.
 
-    Reduces exactly to snr_tail_rhs for the classical parameters.  The inner
-    probability P{S_{n-r-1} > x(1 - q^{frac/alpha})} comes from the exact
-    engine (classical), the small-n enumeration, or, for non-classical games
-    with n - r - 1 > 5, Monte Carlo, which no exact engine replaces there.
+    Classical parameters return snr_tail_rhs itself.  Otherwise the inner
+    probability P{S_{n-r-1} > x(1 - q^{frac/alpha})} comes from the grid
+    engine, and error is leading * (q^-(r+1) - 1) times its half-gap, so
+    value +- error holds the asymptote with the exact inner probability.
     """
     if params.is_classical:
-        return snr_tail_rhs(n, r, x).value
+        return snr_tail_rhs(n, r, x)
     if not (0 <= r < n):
         raise ValueError("need 0 <= r < n")
     x = float(x)
     if x < params.payoff(1):
         raise ValueError("x must be at least the smallest payoff")
     q, alpha = params.q, params.alpha
-    from petersburg.stpdist import _floor_frac_log_general
-
     _fl, frac = _floor_frac_log_general(x, params)
     leading = math.comb(n, r + 1) * q ** (-(r + 1) * frac) / x ** ((r + 1) * alpha)
     m = n - r - 1
-    if m == 0:
-        inner = 0.0
-    else:
-        threshold = x * (1.0 - q ** (frac / alpha))
-        if m <= 5:
-            inner = float(enum_oracle(m, 0, threshold, params=params))
-        else:
-            from petersburg.montecarlo import SimPlan, simulate_trimmed
-
-            emp = simulate_trimmed(SimPlan(n=m, r=0, reps=mc_reps, master_seed=mc_seed), params)
-            inner = float(emp.tail(threshold))
-    bracket = 1.0 + (q ** (-(r + 1)) - 1.0) * inner
-    return leading * bracket
+    inner, half = _gen_sum_tail(m, x * (1.0 - q ** (frac / alpha)), params)
+    weight = q ** (-(r + 1)) - 1.0
+    return TailAsymptote(leading, 1.0 + weight * inner, inner, "grid" if m else "none",
+                         leading * weight * half)
 
 
 def uniform_bound_rhs(n: int, r: int, x: float, delta: float, C: float) -> float:
@@ -153,7 +181,7 @@ def uniform_bound_rhs(n: int, r: int, x: float, delta: float, C: float) -> float
 
     Two power terms: the trimmed-tail rate ((1-delta)x)^-(r+1) and a
     delta-penalized x^-(r+3/2) remainder whose constant C is user-supplied
-    (only its existence is guaranteed; see the calibration helper).
+    (only its existence is guaranteed).
     """
     if n < 1:
         raise ValueError("n must be >= 1")

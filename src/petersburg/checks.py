@@ -339,10 +339,10 @@ def check_generalized_game() -> CheckResult:
     x_near, x_far = 10.0, 10.0 * 1.5**8
     r_near = float(enum_oracle(3, 0, x_near, params=params)) / gen_snr_tail_rhs(
         3, 0, x_near, params=params
-    )
+    ).value
     r_far = float(enum_oracle(3, 0, x_far, params=params)) / gen_snr_tail_rhs(
         3, 0, x_far, params=params
-    )
+    ).value
     ok = ok_lims and _GEN_RATIO_LO <= r_near <= _GEN_RATIO_HI and abs(r_far - 1.0) <= _GEN_FAR_TOL
     return CheckResult(
         "generalized_game",

@@ -2,10 +2,9 @@
 
 One subcommand per family of operations, JSON for scalars and exact
 rationals, CSV for curves.  Output is a pure function of the flags: every
-stochastic subcommand requires --seed, except gen-tail, which samples only
-for non-classical games with n - r - 1 > 5 and defaults to seed 0.  Every
-seed reaches the draws through stpdist.seed_blocks, so a draw depends only
-on (seed, replicate index).
+stochastic subcommand requires --seed, and every seed reaches the draws
+through stpdist.seed_blocks, so a draw depends only on (seed, replicate
+index).
 
 Exit codes: 0 success, 2 invalid flag value (the message names the flag),
 3 a limit-law curve cannot answer (its inversion failed, or a W_gamma point
@@ -261,10 +260,9 @@ def _cmd_subexp_limits(args) -> int:
 
 
 def _cmd_gen_tail(args) -> int:
-    value = gen_snr_tail_rhs(args.n, args.r, args.x, params=_params(args),
-                             mc_reps=args.mc_reps, mc_seed=args.seed)
-    _emit(args, _jdump({"n": args.n, "r": args.r, "x": args.x,
-                        "alpha": args.alpha, "p": args.p, "value": value}))
+    asym = gen_snr_tail_rhs(args.n, args.r, args.x, params=_params(args))
+    _emit(args, _jdump({"n": args.n, "r": args.r, "x": args.x, "alpha": args.alpha,
+                        "p": args.p, "value": asym.value, "error_estimate": asym.error}))
     return 0
 
 
@@ -580,10 +578,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--r", type=int, default=0)
     sp.add_argument("--x", type=float, required=True)
     _add_game_flags(sp)
-    sp.add_argument("--mc-reps", type=int, default=400_000)
-    sp.add_argument("--seed", type=int, default=0,
-                    help="seed of the Monte Carlo inner terms, drawn only for "
-                         "non-classical games with n - r - 1 > 5 (default 0)")
     sp.set_defaults(func=_cmd_gen_tail)
 
     sp = sub.add_parser("limit-cdf", parents=[common],

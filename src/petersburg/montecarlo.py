@@ -19,6 +19,7 @@ from petersburg.limitlaw import gstar_cdf, wgamma_cdf_curve
 from petersburg.stpdist import (
     CLASSICAL,
     GameParams,
+    _check_seed_reps,
     centering,
     chernoff_bound,
     gamma_n,
@@ -39,7 +40,6 @@ __all__ = [
     "chernoff_check",
     "histogram_fig1",
     "side_lobe_stats",
-    "calibrate_uniform_bound_c",
 ]
 
 @dataclass(frozen=True)
@@ -56,8 +56,7 @@ class SimPlan:
             raise ValueError("n must be >= 1")
         if not (0 <= self.r < self.n):
             raise ValueError("need 0 <= r < n")
-        if self.reps < 1:
-            raise ValueError("reps must be >= 1")
+        _check_seed_reps(self.master_seed, self.reps)
 
 
 @dataclass
@@ -132,12 +131,11 @@ def simulate_trimmed(
     return EmpiricalTail.from_samples(s)
 
 
-def _ks_to_limit(n: int, r: int, reps: int, seed: int, limit_cdf) -> float:
-    """KS distance between (S_n minus its r largest payoffs)/n - log2(n),
-    over reps seeded replicates, and limit_cdf."""
-    s = _draw_trimmed_sums(SimPlan(n=n, r=r, reps=reps, master_seed=seed))
-    z = np.sort(s / n - math.log2(n))
-    f_emp = np.arange(1, reps + 1) / reps
+def _ks_to_limit(plan: SimPlan, limit_cdf) -> float:
+    """KS distance of the plan's (S_n minus its r largest)/n - log2(n) to limit_cdf."""
+    s = _draw_trimmed_sums(plan)
+    z = np.sort(s / plan.n - math.log2(plan.n))
+    f_emp = np.arange(1, plan.reps + 1) / plan.reps
     return float(np.max(np.abs(f_emp - limit_cdf(z))))
 
 
@@ -148,8 +146,9 @@ def merge_check(n: int, reps: int = 200_000, seed: int = 0) -> dict:
     The draws are bit-identical given (seed, replicate index), but ``ks`` is
     defined only up to the ``error`` of ``wgamma_cdf_curve(gamma_n)``: its
     last bits depend on the numpy build's FFT and sin/exp kernels."""
+    plan = SimPlan(n=n, reps=reps, master_seed=seed)  # refused before the curve build
     g = gamma_n(n)
-    ks = _ks_to_limit(n, 0, reps, seed, wgamma_cdf_curve(g).eval)
+    ks = _ks_to_limit(plan, wgamma_cdf_curve(g).eval)
     return {"n": n, "gamma": g, "reps": reps, "ks": ks}
 
 
@@ -160,8 +159,9 @@ def trimmed_merge_check(n: int, reps: int = 200_000, seed: int = 0) -> dict:
     The draws are bit-identical given (seed, replicate index), but ``ks`` is
     defined only up to the largest ``error`` of the ``wjg_cdf_curve`` curves
     the mixture reads: they are FFT inversions too."""
+    plan = SimPlan(n=n, r=1, reps=reps, master_seed=seed)  # refused before any G* table
     g = gamma_n(n)
-    ks = _ks_to_limit(n, 1, reps, seed, lambda z: gstar_cdf(g, z))
+    ks = _ks_to_limit(plan, lambda z: gstar_cdf(g, z))
     return {"n": n, "gamma": g, "reps": reps, "ks": ks}
 
 
@@ -275,27 +275,3 @@ def side_lobe_stats(hist: dict) -> dict:
         "lobes_untrimmed": lobes,
     }
 
-
-def calibrate_uniform_bound_c(
-    n: int,
-    r: int,
-    delta: float = 0.3,
-    xs=(math.e, 5.0, 10.0, 20.0),
-    reps: int = 1_000_000,
-    seed: int = 0,
-) -> float:
-    """Smallest C making the two-term uniform tail bound hold on the x grid
-    for Monte Carlo estimates of P{S_{n,r}/n - a_n > x}.
-
-    Only the existence of C is guaranteed, so the calibrated value is an
-    empirical artifact of (n, r, delta, grid, reps, seed).
-    """
-    if not (0.0 < delta < 1.0):
-        raise ValueError("delta must lie in (0, 1)")
-    et = simulate_trimmed(SimPlan(n=n, r=r, reps=reps, master_seed=seed), centered=True)
-    worst = 0.0
-    for x in xs:
-        p = float(et.tail(x))
-        term1 = 2 ** (r + 1) / math.factorial(r + 1) / ((1.0 - delta) * x) ** (r + 1)
-        worst = max(worst, (p - term1) * delta ** (r + 1.5) * x ** (r + 1.5))
-    return worst

@@ -210,6 +210,14 @@ def truncated_moment(ell: int, k: int) -> float:
     return r / norm * (r**k - 1.0) / (r - 1.0)
 
 
+def _check_seed_reps(seed, reps: int) -> None:
+    """Refuse by name reps < 1 or a seed that is not an integer >= 0 (None draws OS entropy)."""
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
+
+
 def seed_blocks(seed, reps: int, row_len: int = 1):
     """An iterator of (rng, rows) over reps replicates in replicate order.
 
@@ -223,18 +231,12 @@ def seed_blocks(seed, reps: int, row_len: int = 1):
     are drawn level by level across a sub-block's rows, so its draws depend
     on the sub-block, which the cap keeps at the whole 65536-row block, and
     its prefix promise holds only in whole blocks.  The cap therefore must
-    not go below 2^16.
-
-    The seed must be a non-negative integer (None, which would draw OS
-    entropy, is refused) and reps at least 1; either fault raises ValueError
-    naming it when seed_blocks is called, before any draw.
+    not go below 2^16.  A bad seed or reps (_check_seed_reps) raises
+    ValueError when seed_blocks is called, before any draw.
     """
     import numpy as np
 
-    if not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
+    _check_seed_reps(seed, reps)
     sub = max(1, min(SEED_BLOCK, (1 << 16) // row_len))
     children = np.random.SeedSequence(seed).spawn((reps + SEED_BLOCK - 1) // SEED_BLOCK)
 

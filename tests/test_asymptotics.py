@@ -7,6 +7,7 @@ import pytest
 from oracle_reference import general_trimmed_tail
 from petersburg.asymptotics import (
     TailAsymptote,
+    _gen_sum_tail,
     finer_as_rhs,
     gen_snr_tail_rhs,
     ratio_table,
@@ -14,7 +15,8 @@ from petersburg.asymptotics import (
     subexp_limits,
     uniform_bound_rhs,
 )
-from petersburg.exact import sum_tail_exact, trimmed_tail_exact
+from petersburg.exact import enum_oracle, sum_tail_exact, trimmed_tail_exact
+from petersburg.montecarlo import SimPlan, simulate_trimmed
 from petersburg.stpdist import GameParams
 
 GEN = GameParams(1.0, 1.0 / 3.0)
@@ -98,15 +100,85 @@ def test_subexp_limits_classical_and_snapped():
 
 def test_gen_tail_delegates_classically():
     x = 3 * 2**9
-    assert gen_snr_tail_rhs(4, 1, x) == snr_tail_rhs(4, 1, x).value
+    assert gen_snr_tail_rhs(4, 1, x) == snr_tail_rhs(4, 1, x)
 
 
 def test_gen_tail_tracks_reference_enumeration():
     # independent exact enumeration of the float-parameter generalized law
     for x, lo, hi in ((10.0, 0.85, 1.0), (10.0 * 1.5**8, 0.98, 1.0)):
         exact = float(general_trimmed_tail(3, 0, x, GEN.p))
-        ratio = exact / gen_snr_tail_rhs(3, 0, x, params=GEN)
+        asym = gen_snr_tail_rhs(3, 0, x, params=GEN)
+        assert asym.inner_backend == "grid" and asym.error == 0.0
+        ratio = exact / asym.value
         assert lo <= ratio <= hi, (x, ratio)
+
+
+# the grid bracket is exact arithmetic on rounded payoffs, summed in floats:
+# an oracle may sit outside it by rounding, never by more
+ROUNDING = 1e-13
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.7, 1.0, 1.5, 1.9])
+def test_grid_bracket_contains_enumeration(alpha):
+    for p in (0.3, 1.0 / 3.0):
+        params = GameParams(alpha, p)
+        for m in (2, 3, 5):
+            for t in (3.0, 5.0, 20.0, 50.0, 137.5, 1e3, 1e4, 1e5):
+                if m == 5 and t > 137.5:
+                    continue  # enumeration cost grows like levels^5
+                want = enum_oracle(m, 0, t, params=params)
+                value, half = _gen_sum_tail(m, t, params)
+                assert 0.0 <= half < 1e-4, (p, m, t, half)
+                assert abs(value - want) <= half + ROUNDING * want, (p, m, t, value, half, want)
+
+
+def test_grid_bracket_contains_fraction_oracle():
+    for p in (0.3, 1.0 / 3.0, 0.4):
+        for m in (2, 3):
+            for t in (3.0, 5.0, 20.0, 50.0, 137.5):
+                want = float(general_trimmed_tail(m, 0, t, p))
+                value, half = _gen_sum_tail(m, t, GameParams(1.0, p))
+                assert abs(value - want) <= half + ROUNDING * want, (p, m, t, value, half, want)
+    # at p = 1/3 the atom S_2 = 3 lies on a cell edge of t = 3: exact cell
+    # indices never split it
+    assert _gen_sum_tail(2, 3.0, GEN)[1] == 0.0
+    # at p = 0.4 the atom S_3 = 3/q lies within a cell of t = 5, and the
+    # bracket widens to its mass p^3 rather than guess a side
+    assert _gen_sum_tail(3, 5.0, GameParams(1.0, 0.4))[1] == pytest.approx(0.4**3 / 2)
+
+
+def test_grid_keeps_relative_accuracy_on_small_tails():
+    params = GameParams(1.9, 0.2)
+    want = enum_oracle(3, 0, 1e5, params=params)
+    value, _half = _gen_sum_tail(3, 1e5, params)
+    assert want < 1e-9
+    assert value == pytest.approx(want, rel=1e-8)
+    # a tail of 3.3e-6 at m = 49, which 400k draws can miss entirely
+    value, half = _gen_sum_tail(49, 6199.0, params)
+    assert value > 0.0 and half < 1e-3 * value
+
+
+@pytest.mark.parametrize("alpha, p, m, t", [
+    (1.0, 0.3, 9, 300.0), (1.5, 0.4, 12, 137.5), (0.7, 0.3, 8, 1e3), (1.9, 0.2, 20, 1e3),
+])
+def test_grid_agrees_with_sampler_beyond_enumeration(alpha, p, m, t):
+    params = GameParams(alpha, p)
+    value, half = _gen_sum_tail(m, t, params)
+    reps = 200_000
+    emp = simulate_trimmed(SimPlan(n=m, reps=reps, master_seed=16), params).tail(t)
+    sigma = math.sqrt(max(emp * (1.0 - emp), 1.0 / reps) / reps)
+    assert abs(value - emp) <= half + 4.0 * sigma, (value, half, emp, sigma)
+
+
+def test_gen_tail_reports_its_bracket():
+    # 0.0120301184 is the exact-budget level DP's value of this asymptote
+    asym = gen_snr_tail_rhs(10, 0, 1000.0, params=GameParams(1.0, 0.3))
+    assert asym.inner_backend == "grid"
+    assert 0.0 < asym.error <= 1e-7
+    assert abs(asym.value - 0.0120301184) <= asym.error
+    # with no game left after trimming there is no inner term and no error
+    alone = gen_snr_tail_rhs(2, 1, 1000.0, params=GameParams(1.0, 0.3))
+    assert (alone.inner_backend, alone.inner_prob, alone.error) == ("none", 0.0, 0.0)
 
 
 def test_uniform_bound_terms():

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import petersburg
-from petersburg import limitlaw
+from petersburg import limitlaw, montecarlo
 from petersburg.checks import ALL_CHECKS, DEFAULT_CONFIG
 from petersburg.cli import _build_parser, _csv, _jdump, main
 from petersburg.montecarlo import SimPlan, simulate_trimmed
@@ -67,10 +67,11 @@ MAPPING = {
 
 
 def _subcommands():
+    """Subcommand name -> its parser."""
     parser = _build_parser()
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
-            return set(action.choices)
+            return action.choices
     raise AssertionError("no subparsers found")
 
 
@@ -81,7 +82,7 @@ def run(capsys, *argv):
 
 
 def test_every_operation_has_exactly_one_subcommand():
-    subs = _subcommands()
+    subs = set(_subcommands())
     assert len(MAPPING) == 36
     for op, sub in MAPPING.items():
         assert sub in subs, f"{op} points at unknown subcommand {sub}"
@@ -189,7 +190,21 @@ def test_gen_tail_value(capsys):
     rc, out, _ = run(capsys, "gen-tail", "--n", "3", "--r", "0", "--x", "10",
                      "--p", "0.3333333333333333")
     assert rc == 0
-    assert json.loads(out)["value"] == pytest.approx(16.0 / 27.0, rel=1e-12)
+    doc = json.loads(out)
+    assert doc["value"] == pytest.approx(16.0 / 27.0, rel=1e-12)
+    assert doc["error_estimate"] == 0.0
+
+
+def test_gen_tail_is_deterministic_and_bracketed():
+    # no seed anywhere: two fresh processes print the same bytes, and the
+    # printed bracket holds the exact-budget level DP's 0.0120301184
+    code = ("from petersburg.cli import main; "
+            "main(['gen-tail', '--n', '10', '--p', '0.3', '--x', '1000'])")
+    first = _fresh_python(code)
+    assert _fresh_python(code) == first
+    doc = json.loads(first)
+    assert 0.0 < doc["error_estimate"] <= 1e-7
+    assert abs(doc["value"] - 0.0120301184) <= doc["error_estimate"]
 
 
 def test_limit_cdf_pointwise_and_curve(capsys):
@@ -566,7 +581,7 @@ def test_validation_exits_2(capsys):
     ]
     # samplers refuse a bad --reps or --seed through seed_blocks
     for argv in (("max-check", "--n", "4"), ("chernoff-check", "--n", "64", "--j", "0"),
-                 ("fig1",)):
+                 ("fig1",), ("merge-check", "--n", "64"), ("trimmed-merge-check", "--n", "64")):
         cases.append(((*argv, "--reps", "0", "--seed", "1"), "reps must be >= 1, got 0"))
     cases.append((("mc-sim", "--n", "4", "--reps", "5", "--seed", "-1"),
                   "seed must be a non-negative integer, got -1"))
@@ -595,6 +610,21 @@ def test_y_tail_refuses_non_finite_x_before_drawing(capsys, monkeypatch):
         assert rc == 2 and out == "" and "x must be positive and finite" in err, err
 
 
+def test_merge_checks_refuse_bad_reps_and_seed_before_building(capsys, monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a limit curve or G* table was built")
+
+    monkeypatch.setattr(montecarlo, "wgamma_cdf_curve", no_build)
+    monkeypatch.setattr(montecarlo, "gstar_cdf", no_build)
+    for sub in ("merge-check", "trimmed-merge-check"):
+        for flags, message in (
+            (("--reps", "0", "--seed", "1"), "reps must be >= 1, got 0"),
+            (("--reps", "5", "--seed", "-1"), "seed must be a non-negative integer, got -1"),
+        ):
+            rc, out, err = run(capsys, sub, "--n", "64", *flags)
+            assert rc == 2 and out == "" and message in err, (sub, err)
+
+
 def test_argparse_failures_exit_2(capsys):
     assert run(capsys, "bogus-subcommand")[0] == 2
     assert run(capsys, "xi", "--gamma", "1.0", "--bogus")[0] == 2
@@ -606,6 +636,47 @@ def test_argparse_failures_exit_2(capsys):
     # stochastic subcommands refuse to run unseeded
     assert run(capsys, "mc-sim", "--n", "4", "--reps", "100")[0] == 2
     assert run(capsys, "y-tail", "--gamma", "1.0", "--x", "96", "--reps", "10")[0] == 2
+    # gen-tail has no Monte Carlo inner term, so no seed and no sample size
+    for flag in (("--seed", "1"), ("--mc-reps", "5")):
+        assert run(capsys, "gen-tail", "--n", "10", "--p", "0.3", "--x", "1000", *flag)[0] == 2
+
+
+# the optional flags of every subcommand: a new flag shows up here as a diff
+OPTIONAL_FLAGS = {
+    "tail": "--alpha --out --p --truncate-level",
+    "quantile": "--alpha --out --p",
+    "exact-tail": "--out",
+    "trimmed-tail": "--bound-c --delta --normalized-x --oracle --out --r --x",
+    "conv-ratio": "--out --x --x-dyadic",
+    "asym-tail": "--out --r --x --x-dyadic",
+    "finer-as": "--out --r",
+    "subexp-limits": "--alpha --out --p",
+    "gen-tail": "--alpha --out --p --r",
+    "limit-cdf": "--j --out --x --x-lin",
+    "gstar-cdf": "--out --x --x-lin",
+    "sample-y": "--out --r --reps --truncation",
+    "y-tail": "--out --r --reps --truncation",
+    "centering": "--out --r",
+    "xi": "--out",
+    "chernoff": "--gamma --out",
+    "mc-sim": "--alpha --centered --out --p --r --reps --x-dyadic --x-lin",
+    "merge-check": "--out --reps",
+    "trimmed-merge-check": "--out --reps",
+    "max-check": "--j-hi --j-lo --out --reps",
+    "chernoff-check": "--out --reps --x",
+    "fig1": "--bin-width --n --out --reps",
+    "fig2": "--m-lo --n --out --per-octave --xmax",
+    "repro-all": "--config --out",
+}
+
+
+def test_optional_flags_are_pinned():
+    got = {name: " ".join(sorted(a.option_strings[-1] for a in sp._actions
+                                 if a.option_strings and not a.required
+                                 and not isinstance(a, argparse._HelpAction)))
+           for name, sp in _subcommands().items()}
+    assert got == OPTIONAL_FLAGS
+    assert sum(len(flags.split()) for flags in got.values()) == 81
 
 
 def test_out_file_written_atomically(capsys, tmp_path):

@@ -36,7 +36,7 @@ def test_limitlaw_reexports_closed_form_scalars():
 # every parameter with a default over the public functions of the engines: a
 # new knob shows up here as a diff, and one only tests set is a constant
 DEFAULTED = {
-    "asymptotics": {"gen_snr_tail_rhs": "mc_reps mc_seed params", "subexp_limits": "params"},
+    "asymptotics": {"gen_snr_tail_rhs": "params", "subexp_limits": "params"},
     "exact": {"enum_oracle": "params", "oscillation_curve_fig2": "m_hi m_lo n per_octave"},
     "limitlaw": {
         "cdf_from_cf": "tol",
@@ -46,7 +46,6 @@ DEFAULTED = {
         "y_tail_parts": "reps seed truncation y0_samples",
     },
     "montecarlo": {
-        "calibrate_uniform_bound_c": "delta reps seed xs",
         "chernoff_check": "reps seed xs",
         "histogram_fig1": "bin_width n reps seed",
         "max_pmf_check": "j_hi j_lo reps seed",
@@ -78,4 +77,4 @@ def test_defaulted_parameters_are_pinned():
                            if p.default is not inspect.Parameter.empty)
     want = {(m, f, p) for m, fns in DEFAULTED.items() for f, ps in fns.items() for p in ps.split()}
     assert got == want
-    assert len(want) == 49
+    assert len(want) == 43

@@ -15,7 +15,6 @@ from petersburg.montecarlo import (
     EmpiricalTail,
     SimPlan,
     _draw_trimmed_sums,
-    calibrate_uniform_bound_c,
     chernoff_check,
     histogram_fig1,
     max_pmf_check,
@@ -79,6 +78,8 @@ def test_seed_blocks_refuse_bad_seed_and_reps_when_called(seed, reps, message):
         seed_blocks(seed, reps)
     with pytest.raises(ValueError, match=re.escape(message)):
         sample_Y(0, 1.0, truncation=100, reps=reps, seed=seed)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SimPlan(n=3, reps=reps, master_seed=seed)
 
 
 def _pmf_raw():
@@ -232,13 +233,3 @@ def test_fig2_band_and_drops():
     assert xs == sorted(xs)
     assert float(2**4) in by_x and float(2**10 - 1) in by_x
 
-
-def test_uniform_bound_calibration_is_zero_here():
-    # on this grid the first term alone covers the tail, so C = 0 suffices
-    c = calibrate_uniform_bound_c(256, 1, delta=0.3, reps=1_000_000, seed=0)
-    assert c == 0.0
-
-
-def test_uniform_bound_calibration_validates_delta():
-    with pytest.raises(ValueError):
-        calibrate_uniform_bound_c(16, 0, delta=1.0, reps=1)
