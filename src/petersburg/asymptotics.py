@@ -196,19 +196,30 @@ def uniform_bound_rhs(n: int, r: int, x: float, delta: float, C: float) -> float
     return term1 + term2
 
 
+def _exact_ratio(n: int, r: int, x: float) -> Fraction:
+    """P{S_{n,r} > x} over its asymptote, in exact rationals: the tail times
+    2^((r+1) fl) over C(n, r+1) (1 + (2^(r+1) - 1) P{S_{n-r-1} > x - 2^fl}),
+    fl = floor(log2 x), so neither side underflows however large x is."""
+    fl = floor_log2(x)
+    m = n - r - 1
+    inner = sum_tail_exact(m, x - math.ldexp(1.0, fl)).as_fraction() if m else 0
+    tail = trimmed_tail_exact(n, r, x).as_fraction()
+    return tail * (1 << (r + 1) * fl) / (math.comb(n, r + 1) * (1 + ((1 << (r + 1)) - 1) * inner))
+
+
 def ratio_table(n: int, r: int, xs) -> list:
-    """Rows (x, frac_log2, exact, asymptote, ratio, backend) over an x-grid."""
+    """Rows (x, frac_log2, exact, asymptote, ratio, backend) over an x-grid;
+    ratio is _exact_ratio rounded once, finite for every x below 2^1024."""
     rows = []
     for x in xs:
         asym = snr_tail_rhs(n, r, x)
-        ex = float(trimmed_tail_exact(n, r, x))
         rows.append(
             (
                 float(x),
                 frac_log2(x),
-                ex,
+                float(trimmed_tail_exact(n, r, x)),
                 asym.value,
-                ex / asym.value if asym.value else math.inf,
+                float(_exact_ratio(n, r, float(x))),
                 asym.inner_backend,
             )
         )

@@ -334,10 +334,10 @@ def _cmd_sample_y(args) -> int:
 def _cmd_y_tail(args) -> int:
     from petersburg.limitlaw import y_tail_parts
 
-    parts = y_tail_parts(args.r, args.gamma, args.x, truncation=args.truncation,
-                         reps=args.reps, seed=args.seed)
+    parts = y_tail_parts(args.r, args.gamma, args.x)
     out = {"r": args.r, "gamma": args.gamma, "x": args.x, "a_const": a_const(args.r, args.gamma)}
     out.update(parts)
+    out["error_estimate"] = out.pop("error")
     _emit(args, _jdump(out))
     return 0
 
@@ -609,9 +609,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--r", type=int, default=0)
     sp.add_argument("--gamma", type=float, required=True)
     sp.add_argument("--x", type=float, required=True)
-    sp.add_argument("--truncation", type=int, default=10_000)
-    sp.add_argument("--reps", type=int, default=200_000)
-    sp.add_argument("--seed", type=int, required=True)
     sp.set_defaults(func=_cmd_y_tail)
 
     sp = sub.add_parser("centering", parents=[common],

@@ -1,14 +1,11 @@
 """Semistable limit laws of St. Petersburg sums.
 
-Covers the merging weights, characteristic functions of the conditional limit
-W_{j,gamma} and the full limit W_gamma, numeric CDF inversion (batched FFT
-curves, with pointwise Gil-Pelaez quadrature as their oracle), the trimmed
-limit law G*, the series sampler for the a.s.-convergent trimmed-limit series
-Y_{r,gamma} and its tail asymptote.  The scalar constants (centering
-sequences, A_{r,gamma}, the digit constant xi, the Chernoff bound for the
-conditional limit) and InversionError live in the numpy-free stpdist; this
-module imports only what it uses: A_{r,gamma} for y_tail_parts, eta =
-2^j/gamma for W_{j,gamma}, and InversionError, which it raises.
+Covers the merging weights, the characteristic functions of the conditional
+limit W_{j,gamma} and the full limit W_gamma, their FFT CDF curves (pointwise
+Gil-Pelaez quadrature is their oracle), the trimmed limit law G*, the series
+sampler for the trimmed-limit series Y_{r,gamma}, and its tail asymptote,
+read off the W_gamma curve.  The scalar constants and InversionError live in
+the numpy-free stpdist; this module imports only those it uses.
 
 Conventions: eta = 2^j / gamma; {log2 x} = 0 at exact powers of two, matching
 stpdist.psi; all dyadic scalings go through ldexp/frexp so they are exact.
@@ -27,10 +24,12 @@ import numpy as np
 from petersburg.stpdist import (
     InversionError,
     a_const,
+    chernoff_h,
     eta_jgamma,
     floor_log2,
     seed_blocks,
     series_center,
+    xi_and_f,
 )
 
 __all__ = [
@@ -744,15 +743,19 @@ def sample_Y(
     dyadic block of the arrival axis: within a block the summand is the
     constant 2^-m/gamma, so only the Poisson count per block matters, and
     truncation keeps the earliest arrivals by taking blocks in order.  This
-    turns 10^4 terms into ~10 counts.
+    turns 10^4 terms into ~10 counts.  The output is allocated before any
+    draw; reps that numpy cannot allocate raise ValueError naming reps.
     """
     if not 0.0 < gamma < math.inf:
         raise ValueError("gamma must be positive and finite")
     if truncation < r + 1:
         raise ValueError("truncation must be >= r + 1")
     blocks = seed_blocks(seed, reps)  # validates seed and reps
+    try:
+        out = np.empty(reps)
+    except (ValueError, MemoryError) as exc:
+        raise ValueError(f"reps = {reps} draws cannot be allocated: {exc}") from None
     center = series_center(r, gamma, truncation)
-    out = np.empty(reps)
     pos = 0
     for rng, rows in blocks:
         out[pos : pos + rows] = _sample_chunk_block(r, gamma, truncation, rows, rng)
@@ -788,18 +791,37 @@ def _sample_chunk_block(r, gamma, truncation, b, rng):
     raise RuntimeError("block sampler failed to exhaust the truncation budget")
 
 
-def y_tail_parts(
-    r: int,
-    gamma: float,
-    x: float,
-    y0_samples: np.ndarray = None,
-    truncation: int = 10_000,
-    reps: int = 200_000,
-    seed=0,
-) -> dict:
+def _wgamma_tail_bound(gamma: float, y: float) -> float:
+    """P{W_gamma > y} <= 1/eta + exp(-chernoff_h(y - log2 eta)/eta), eta =
+    2^j/gamma <= y: W_gamma is W_{j,gamma} plus the independent atoms above
+    eta, of total rate 1/eta, and W_{j,gamma} - log2(eta) is centered with
+    jumps <= eta and variance 2 eta (Bennett).  The better of j = fl - 1, fl
+    (fl = floor(log2(gamma y))) is within about twice the Levy tail."""
+    fl = floor_log2(gamma * y)
+    return min(math.ldexp(gamma, -j)
+               + math.exp(-chernoff_h(y - j + math.log2(gamma)) * math.ldexp(gamma, -j))
+               for j in (fl - 1, fl))
+
+
+def y_tail_parts(r: int, gamma: float, x: float) -> dict:
     """Pieces of the trimmed-limit tail asymptote at x: leading term, the two
     inner probabilities (ell = 0, 1) of Y_{0,gamma} + A_{r,gamma} exceeding
-    x(1 - 2^(ell - {log2(gamma x)})), and the assembled bracket."""
+    x(1 - 2^(ell - {log2(gamma x)})), the assembled bracket, value and error.
+
+    Y_{0,gamma} = W_gamma - xi(gamma) in law, so the inner terms are read off
+    the W_gamma curve.  Both have the Levy atoms x_i = 2^i/gamma of mass
+    1/x_i; cut at arrival gamma 2^M, the series subtracts M + 1 - 1/gamma +
+    f(gamma) + o(1) (centering_closed), while cf_Wgamma subtracts
+    sum_{i>-M} 1/(1 + x_i^2) = M + u_gamma + o(1) and adds u_gamma -
+    log2(gamma), a difference of 1/gamma - 1 - f + log2(gamma) = -xi
+    (xi_and_f).  Y_{r,2 gamma} is Y_{r,gamma} term by term, so gamma is
+    reduced to (1/2, 1].
+
+    error = leading (s - 1)(e0 + e1/s), s = 2^(r+1), e_ell the curve error,
+    plus _wgamma_tail_bound in e0 where inner0 passes the window top and reads
+    0 (x above about twice the top).  The tail the FFT folds back near the
+    top (6e-5 at gamma = 1) is not in the curve error.
+    """
     if r < 0:
         raise ValueError("r must be >= 0")
     if not 0.0 < gamma < math.inf:
@@ -807,27 +829,27 @@ def y_tail_parts(
     gx = gamma * x
     if gx < 2.0:
         raise ValueError("need gamma * x >= 2")
-    fl = floor_log2(gx)  # refuses a non-finite x before any draw
-    if y0_samples is None:
-        y0_samples = sample_Y(0, gamma, truncation, reps, seed)
-    # counted, not sorted: the same numbers as a search of the sorted sample
-    ys = np.asarray(y0_samples) + a_const(r, gamma)
-    n = len(ys)
+    fl = floor_log2(gx)  # refuses a non-finite x before any curve is built
+    g = math.frexp(gamma)[0]
+    g = 1.0 if g == 0.5 else g
+    curve = wgamma_cdf_curve(g)
     # psi(gx)/x = gamma 2^-fl: the power of x never forms, so nothing overflows
     leading = math.ldexp(gamma ** (r + 1) / math.factorial(r + 1), -(r + 1) * fl)
-    inner = []
-    for ell in (0, 1):
-        # x(1 - 2^(ell - frac)) = x - 2^(fl + ell)/gamma, halved and doubled
-        # exactly so that 2^(fl + ell) cannot overflow at x near the float max
-        thr = 2.0 * (0.5 * x - math.ldexp(1.0 / gamma, fl + ell - 1))
-        inner.append(float(np.count_nonzero(ys > thr)) / n)
+    # W_gamma > x(1 - 2^(ell - frac)) - A + xi; x - 2^(fl + ell)/gamma is halved
+    # and doubled exactly so that 2^(fl + ell) cannot overflow near the float max
+    shift = xi_and_f(g)[0] - a_const(r, gamma)
+    ws = [2.0 * (0.5 * x - math.ldexp(1.0 / gamma, fl + ell - 1)) + shift for ell in (0, 1)]
+    inner0, inner1 = (1.0 - curve.eval(ws)).tolist()
+    e0 = e1 = curve.error
+    if ws[0] >= curve.x0 + curve.dx * (len(curve.cdf) - 1):
+        e0 += _wgamma_tail_bound(g, ws[0])
     scale = float(1 << (r + 1))
-    bracket = 1.0 / scale + (scale - 1.0) * (inner[0] + inner[1] / scale)
+    bracket = 1.0 / scale + (scale - 1.0) * (inner0 + inner1 / scale)
     return {
         "leading": leading,
-        "inner0": inner[0],
-        "inner1": inner[1],
+        "inner0": inner0,
+        "inner1": inner1,
         "bracket": bracket,
         "value": leading * bracket,
-        "reps": n,
+        "error": leading * (scale - 1.0) * (e0 + e1 / scale),
     }

@@ -223,11 +223,14 @@ def seed_blocks(seed, reps: int, row_len: int = 1):
 
     Block i covers replicates [i*SEED_BLOCK, (i+1)*SEED_BLOCK) and draws from
     the i-th child of SeedSequence(seed), so replicate j depends on (seed, j)
-    alone, never on reps or batching.  A block comes in sub-blocks of at most
-    2^16 // row_len rows, so a body drawing row_len values per replicate holds
-    2^16 draws (512 KB per float64 array) at once, which stays in cache.  A
-    body that consumes its rng in row order draws the same stream whatever
-    the sub-block size.  sample_Y (row_len = 1) does not: its Poisson counts
+    alone, never on reps or batching.  The child is built when its block
+    starts, as SeedSequence(seed, spawn_key=(i,)), which is the i-th spawned
+    child bit for bit, so no reps makes the first draw wait.  A block comes
+    in sub-blocks of at most 2^16 // row_len rows, so a body drawing row_len
+    values per replicate holds 2^16 draws (512 KB per float64 array) at
+    once, which stays in cache.  A body that consumes its rng in row order
+    draws the same stream whatever the sub-block size.  sample_Y
+    (row_len = 1) does not: its Poisson counts
     are drawn level by level across a sub-block's rows, so its draws depend
     on the sub-block, which the cap keeps at the whole 65536-row block, and
     its prefix promise holds only in whole blocks.  The cap therefore must
@@ -238,11 +241,10 @@ def seed_blocks(seed, reps: int, row_len: int = 1):
 
     _check_seed_reps(seed, reps)
     sub = max(1, min(SEED_BLOCK, (1 << 16) // row_len))
-    children = np.random.SeedSequence(seed).spawn((reps + SEED_BLOCK - 1) // SEED_BLOCK)
 
     def blocks():
-        for i, ss in enumerate(children):
-            rng = np.random.default_rng(ss)
+        for i in range((reps + SEED_BLOCK - 1) // SEED_BLOCK):
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
             b = min(SEED_BLOCK, reps - i * SEED_BLOCK)
             for done in range(0, b, sub):
                 yield rng, min(sub, b - done)

@@ -7,6 +7,7 @@ import pytest
 from oracle_reference import general_trimmed_tail
 from petersburg.asymptotics import (
     TailAsymptote,
+    _exact_ratio,
     _gen_sum_tail,
     finer_as_rhs,
     gen_snr_tail_rhs,
@@ -210,3 +211,17 @@ def test_ratio_table_rows():
     assert ratio == pytest.approx(exact / asym, rel=1e-15)
     assert backend == "exact"
     assert exact == float(trimmed_tail_exact(4, 1, 3072))
+
+
+def test_ratio_is_exact_far_out():
+    # both float columns underflow to 0 past (r + 1) floor(log2 x) = 1074;
+    # the ratio is formed from the exact integers and rounded once
+    for argv in ((4, 1, 3.0 * 2.0**999), (32, 3, 3.0 * 2.0**299)):
+        _x, _frac, exact, asym, ratio, _backend = ratio_table(*argv[:2], [argv[2]])[0]
+        assert exact == asym == 0.0 and ratio == 1.0
+    # Theorem 1 far beyond the acceptance check: (ratio - 1) x at x = 3 2^m
+    # settles at -16 for (4, 1) and at -1075.2 for (32, 3)
+    for (n, r), limit in (((4, 1), -16.0), ((32, 3), -1075.2)):
+        for m in (40, 100, 1000):
+            x = 3 * 2**m
+            assert float((_exact_ratio(n, r, float(x)) - 1) * x) == pytest.approx(limit, abs=1e-6)

@@ -383,24 +383,33 @@ def test_sample_y_rejects_non_finite_gamma(capsys):
     for g in ("nan", "inf", "0"):
         rc, _, err = run(capsys, "sample-y", "--gamma", g, "--reps", "3", "--seed", "1")
         assert rc == 2 and "gamma must be positive and finite" in err
-    rc, _, err = run(capsys, "y-tail", "--gamma", "nan", "--x", "10", "--reps", "3", "--seed", "1")
+    rc, _, err = run(capsys, "y-tail", "--gamma", "nan", "--x", "10")
     assert rc == 2 and "gamma must be positive and finite" in err
 
 
 def test_y_tail_fields(capsys):
-    rc, out, _ = run(capsys, "y-tail", "--r", "0", "--gamma", "1.0", "--x", "96",
-                     "--reps", "20000", "--seed", "13")
+    rc, out, _ = run(capsys, "y-tail", "--r", "0", "--gamma", "1.0", "--x", "96")
     assert rc == 0
     doc = json.loads(out)
+    assert list(doc) == ["r", "gamma", "x", "a_const", "leading", "inner0", "inner1",
+                         "bracket", "value", "error_estimate"]
     assert doc["a_const"] == 0.0
     assert doc["leading"] == 0.015625
     assert doc["value"] == pytest.approx(doc["leading"] * doc["bracket"], rel=1e-12)
+    assert 0.0 < doc["error_estimate"] < 1e-10
     # neither x^(r+1) nor 2^(floor(log2 x) + 1) forms, so x near the float max works
-    rc, out, _ = run(capsys, "y-tail", "--gamma", "1", "--x", "1e308", "--r", "2",
-                     "--reps", "10", "--seed", "1")
+    rc, out, _ = run(capsys, "y-tail", "--gamma", "1", "--x", "1e308", "--r", "2")
     assert rc == 0
     doc = json.loads(out, parse_constant=_reject_constant)
-    assert all(math.isfinite(doc[k]) for k in ("leading", "inner0", "inner1", "value"))
+    assert all(math.isfinite(doc[k])
+               for k in ("leading", "inner0", "inner1", "value", "error_estimate"))
+
+
+def test_y_tail_is_deterministic():
+    argv = [sys.executable, "-m", "petersburg.cli", "y-tail", "--r", "1", "--gamma", "0.75",
+            "--x", "300"]
+    outs = [subprocess.run(argv, capture_output=True, check=True).stdout for _ in range(2)]
+    assert outs[0] == outs[1] and b"error_estimate" in outs[0]
 
 
 def test_centering_closed_form_only_untrimmed(capsys):
@@ -585,6 +594,9 @@ def test_validation_exits_2(capsys):
         cases.append(((*argv, "--reps", "0", "--seed", "1"), "reps must be >= 1, got 0"))
     cases.append((("mc-sim", "--n", "4", "--reps", "5", "--seed", "-1"),
                   "seed must be a non-negative integer, got -1"))
+    # an output numpy cannot allocate is refused by name before any draw
+    cases.append((("sample-y", "--gamma", "1", "--reps", str(1 << 62), "--seed", "1"),
+                  f"reps = {1 << 62} draws cannot be allocated"))
     # non-finite thresholds on the generalized-game and finer-as paths
     for game in (("tail",), ("gen-tail", "--n", "3")):
         cases.append(((*game, "--p", "0.3", "--x", "inf"), "x must be finite, got inf"))
@@ -601,12 +613,13 @@ def test_validation_exits_2(capsys):
 
 
 def test_y_tail_refuses_non_finite_x_before_drawing(capsys, monkeypatch):
-    def no_draws(*args, **kwargs):
-        raise AssertionError("y-tail drew a sample")
+    # y-tail draws nothing; the refusal comes before the W_gamma curve it reads
+    def no_curve(*args, **kwargs):
+        raise AssertionError("y-tail built a curve")
 
-    monkeypatch.setattr(limitlaw, "sample_Y", no_draws)
+    monkeypatch.setattr(limitlaw, "wgamma_cdf_curve", no_curve)
     for x in ("nan", "inf"):
-        rc, out, err = run(capsys, "y-tail", "--gamma", "1", "--x", x, "--seed", "1")
+        rc, out, err = run(capsys, "y-tail", "--gamma", "1", "--x", x)
         assert rc == 2 and out == "" and "x must be positive and finite" in err, err
 
 
@@ -635,7 +648,9 @@ def test_argparse_failures_exit_2(capsys):
         assert run(capsys, "gstar-cdf", "--gamma", "0.8", "--x", "1", "--weight-tol", tol)[0] == 2
     # stochastic subcommands refuse to run unseeded
     assert run(capsys, "mc-sim", "--n", "4", "--reps", "100")[0] == 2
-    assert run(capsys, "y-tail", "--gamma", "1.0", "--x", "96", "--reps", "10")[0] == 2
+    # y-tail reads a curve, so no seed, sample size or series truncation
+    for flag in (("--seed", "1"), ("--reps", "10"), ("--truncation", "10")):
+        assert run(capsys, "y-tail", "--gamma", "1.0", "--x", "96", *flag)[0] == 2
     # gen-tail has no Monte Carlo inner term, so no seed and no sample size
     for flag in (("--seed", "1"), ("--mc-reps", "5")):
         assert run(capsys, "gen-tail", "--n", "10", "--p", "0.3", "--x", "1000", *flag)[0] == 2
@@ -655,7 +670,7 @@ OPTIONAL_FLAGS = {
     "limit-cdf": "--j --out --x --x-lin",
     "gstar-cdf": "--out --x --x-lin",
     "sample-y": "--out --r --reps --truncation",
-    "y-tail": "--out --r --reps --truncation",
+    "y-tail": "--out --r",
     "centering": "--out --r",
     "xi": "--out",
     "chernoff": "--gamma --out",
@@ -676,7 +691,16 @@ def test_optional_flags_are_pinned():
                                  and not isinstance(a, argparse._HelpAction)))
            for name, sp in _subcommands().items()}
     assert got == OPTIONAL_FLAGS
-    assert sum(len(flags.split()) for flags in got.values()) == 81
+    assert sum(len(flags.split()) for flags in got.values()) == 79
+
+
+def test_seeded_subcommands_are_pinned():
+    # the subcommands that sample are exactly those with a required --seed: a
+    # new sampler, or a formula that samples again, shows up here as a diff
+    seeded = sorted(name for name, sp in _subcommands().items()
+                    if any(a.required and "--seed" in a.option_strings for a in sp._actions))
+    assert seeded == ["chernoff-check", "fig1", "max-check", "mc-sim", "merge-check",
+                      "sample-y", "trimmed-merge-check"]
 
 
 def test_out_file_written_atomically(capsys, tmp_path):

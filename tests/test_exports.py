@@ -27,9 +27,9 @@ def test_package_names_resolve():
 
 def test_limitlaw_reexports_closed_form_scalars():
     # limitlaw imports only the stpdist names it uses; the rest live in stpdist alone
-    for name in ("series_center", "a_const", "InversionError"):
+    for name in ("series_center", "a_const", "xi_and_f", "chernoff_h", "InversionError"):
         assert getattr(limitlaw, name) is getattr(stpdist, name), name
-    for name in ("centering", "centering_closed", "xi_and_f", "chernoff_h", "chernoff_bound"):
+    for name in ("centering", "centering_closed", "chernoff_bound"):
         assert not hasattr(limitlaw, name), name
 
 
@@ -43,7 +43,6 @@ DEFAULTED = {
         "log_cf_f": "backend",
         "sample_Y": "reps seed truncation",
         "wgamma_cdf_curve": "hi",
-        "y_tail_parts": "reps seed truncation y0_samples",
     },
     "montecarlo": {
         "chernoff_check": "reps seed xs",
@@ -77,4 +76,4 @@ def test_defaulted_parameters_are_pinned():
                            if p.default is not inspect.Parameter.empty)
     want = {(m, f, p) for m, fns in DEFAULTED.items() for f, ps in fns.items() for p in ps.split()}
     assert got == want
-    assert len(want) == 43
+    assert len(want) == 39

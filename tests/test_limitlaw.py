@@ -5,6 +5,7 @@ The heavy cross-validation against simulation lives in the acceptance suite;
 here each piece is pinned against an independent small computation.
 """
 
+import functools
 import math
 import warnings
 
@@ -583,30 +584,88 @@ def test_y_tail_leading_matches_power_formula():
         for gamma in (1.0, 0.75):
             for r in (0, 1, 2):
                 want = psi(gamma * x) ** (r + 1) / (math.factorial(r + 1) * x ** (r + 1))
-                got = y_tail_parts(r, gamma, x, y0_samples=np.zeros(4))["leading"]
+                got = y_tail_parts(r, gamma, x)["leading"]
                 assert got == pytest.approx(want, rel=1e-12)
 
 
-def test_y_tail_counts_match_a_sorted_search():
-    # the inner terms count exceedances of the unsorted shifted sample; a
-    # right-sided search of the sorted one gives the same numbers exactly
-    r, g = 2, 0.75
-    ys = sample_Y(0, g, truncation=500, reps=5000, seed=41)
-    assert np.any(np.diff(ys) < 0)
-    shifted = np.sort(ys + a_const(r, g))
-    seen = []
-    for x in (6.0, 12.5, 40.0, 96.0):
-        parts = y_tail_parts(r, g, x, y0_samples=ys)
-        fl = floor_log2(g * x)
-        want = []
-        for ell in (0, 1):
-            thr = 2.0 * (0.5 * x - math.ldexp(1.0 / g, fl + ell - 1))
-            want.append(float(ys.size - np.searchsorted(shifted, thr, side="right")) / ys.size)
-        assert (parts["inner0"], parts["inner1"]) == tuple(want)
-        bracket = 1.0 / 8.0 + 7.0 * (want[0] + want[1] / 8.0)
-        assert parts["value"] == parts["leading"] * bracket
-        seen += want
-    assert sum(0.0 < v < 1.0 for v in seen) >= 4
+_Y_GAMMAS = (0.52, 0.6, 0.75, 0.9, 1.0)
+
+
+@functools.lru_cache(maxsize=None)
+def _y0_draws(gamma):
+    # one million draws of Y_{0,gamma}, shared by the two gates below
+    return sample_Y(0, gamma, truncation=10_000, reps=1_000_000, seed=20)
+
+
+def counted_y_tail(r, gamma, x, ys):
+    """The sampled y_tail_parts the W_gamma curve replaced: its two inner
+    probabilities counted over draws ys of Y_{0,gamma}.  Returns value and
+    its standard error."""
+    fl = floor_log2(gamma * x)
+    shifted = ys + a_const(r, gamma)
+    hit0, hit1 = (shifted > 2.0 * (0.5 * x - math.ldexp(1.0 / gamma, fl + ell - 1))
+                  for ell in (0, 1))
+    s = 2 ** (r + 1)
+    z = (s - 1) * (hit0 + hit1 / s)  # bracket - 1/s, one term per draw
+    leading = math.ldexp(gamma ** (r + 1) / math.factorial(r + 1), -(r + 1) * fl)
+    return leading * (1 / s + z.mean()), leading * z.std() / math.sqrt(ys.size)
+
+
+@pytest.mark.parametrize("gamma", _Y_GAMMAS)
+def test_y0_is_wgamma_shifted_by_minus_xi(gamma):
+    # one-sample KS of sample_Y(0, gamma) against W_gamma(. + xi(gamma)), at
+    # the alpha = 1e-3 critical value sqrt(ln(2/alpha)/(2n)) = 3.1e-3
+    ys = np.sort(_y0_draws(gamma)[:400_000])
+    n = ys.size
+    cdf = wgamma_cdf_curve(gamma).eval(ys + xi_and_f(gamma)[0])
+    i = np.arange(1, n + 1)
+    ks = max(float(np.max(i / n - cdf)), float(np.max(cdf - (i - 1) / n)))
+    assert ks <= math.sqrt(math.log(2 / 1e-3) / (2 * n))
+
+
+@pytest.mark.parametrize("gamma", _Y_GAMMAS)
+def test_y_tail_curve_agrees_with_counted_draws(gamma):
+    ys = _y0_draws(gamma)
+    for r in (0, 1, 2):
+        for x in (40.0, 300.0, 3000.0):
+            parts = y_tail_parts(r, gamma, x)
+            counted, sigma = counted_y_tail(r, gamma, x, ys)
+            assert abs(parts["value"] - counted) <= parts["error"] + 4 * sigma, (r, x)
+
+
+def test_y_tail_reads_the_curve_without_drawing(monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("y_tail_parts drew a sample")
+
+    monkeypatch.setattr(limitlaw, "sample_Y", no_draws)
+    parts = y_tail_parts(1, 0.75, 300.0)
+    assert 0.0 < parts["inner0"] < parts["inner1"] <= 1.0
+    assert parts["value"] == parts["leading"] * parts["bracket"]
+    # value moves by leading (s - 1)(e0 + e1/s) for curve errors e0, e1
+    error = wgamma_cdf_curve(0.75).error
+    assert parts["error"] == pytest.approx(parts["leading"] * 3.0 * (error + error / 4.0))
+
+
+def test_y_series_is_invariant_under_doubling_gamma():
+    # Psi(v/(2 gamma))/v = Psi(v/gamma)/v: Y_{r,2 gamma} is Y_{r,gamma} term by term
+    draws = sample_Y(1, 0.75, truncation=500, reps=1000, seed=3)
+    for g in (0.375, 1.5, 3.0):
+        assert np.array_equal(sample_Y(1, g, truncation=500, reps=1000, seed=3), draws)
+    for r, x in ((0, 40.0), (1, 300.0), (2, 1e6)):
+        for base, others in ((0.75, (0.375, 1.5, 3.0)), (1.0, (0.5, 2.0, 0.25))):
+            want = y_tail_parts(r, base, x)
+            for g in others:
+                assert y_tail_parts(r, g, x) == want, (r, x, g)
+
+
+def test_wgamma_tail_bound_holds_over_the_curve():
+    # the bound past the window, checked where the curve can see: every
+    # curve tail up to 0.9 of the top lies under it
+    for gamma in _Y_GAMMAS:
+        curve = wgamma_cdf_curve(gamma)
+        top = curve.x0 + curve.dx * (len(curve.cdf) - 1)
+        for y in np.geomspace(4.0 / gamma, 0.9 * top, 60):
+            assert 1.0 - float(curve.eval(y)) <= limitlaw._wgamma_tail_bound(gamma, float(y))
 
 
 def test_a_const_values():

@@ -22,7 +22,7 @@ from petersburg.montecarlo import (
     simulate_trimmed,
     trimmed_merge_check,
 )
-from petersburg.stpdist import GameParams, seed_blocks
+from petersburg.stpdist import SEED_BLOCK, GameParams, seed_blocks
 
 
 def test_simplan_validation():
@@ -63,6 +63,17 @@ def test_seed_blocks_give_prefix_stability():
     assert np.array_equal(a[:65536], b[:65536])
     # a numpy integer is an integer seed
     assert next(seed_blocks(np.int64(3), 1))[1] == 1
+
+
+def test_seed_blocks_build_children_on_demand():
+    # block i draws from SeedSequence(seed, spawn_key=(i,)), the i-th spawned
+    # child bit for bit, built when the block starts: 2^62 replicates cost
+    # nothing up front
+    blocks = seed_blocks(5, 1 << 62)
+    for child in np.random.SeedSequence(5).spawn(3):
+        rng, rows = next(blocks)
+        assert rows == SEED_BLOCK
+        assert np.array_equal(rng.random(4), np.random.default_rng(child).random(4))
 
 
 @pytest.mark.parametrize("seed, reps, message", [
