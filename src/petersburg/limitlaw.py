@@ -299,8 +299,13 @@ def cdf_from_cf(cf: Callable, x: float, tol: float = 1e-10) -> InvertedCdf:
     The oscillatory factor is handled by weighted (QAWO) quadrature; the upper
     limit T adapts until |cf(T)| < 1e-12.  Raises InversionError when the
     budget runs out or the quadrature cannot reach the requested tolerance.
-    cf is evaluated once per distinct t.
+    cf is evaluated once per distinct t.  A non-finite x, or a tol outside
+    (0, inf), raises ValueError before any cf call.
     """
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must lie in (0, inf), got {tol}")
     # the head panels read Im and Re at each node, and the two QAWO passes
     # over [cut, T] visit the same nodes
     cf = functools.lru_cache(maxsize=None)(cf)
@@ -362,6 +367,32 @@ def cdf_from_cf(cf: Callable, x: float, tol: float = 1e-10) -> InvertedCdf:
     return InvertedCdf(min(max(val, 0.0), 1.0), err)
 
 
+def _hermite(x, x0, dx, n, offset, cdf: np.ndarray, density: np.ndarray) -> np.ndarray:
+    """Cubic Hermite interpolation at x of the CDF nodes cdf[offset :
+    offset + n] on the grid x0 + k dx, with density their derivative: exactly
+    0 at or left of the first node, 1 at or right of the last, clamped to
+    [0, 1] between.  x0, dx, n and offset are scalars, or arrays (one entry
+    per mixture term) that broadcast against x."""
+    # positions one step past either edge clamp the same as any further
+    # out, so huge |x| never overflows the arithmetic below; minimum and
+    # maximum instead of np.clip, whose call overhead dominates small x
+    x = np.minimum(np.maximum(x, x0 - dx), x0 + n * dx)
+    pos = (x - x0) / dx
+    # the node index is clamped to [0, n - 2] while still a float (exact at
+    # these sizes), so that t is a difference of two floats
+    i = np.minimum(np.maximum(np.floor(pos), 0.0), n - 2)
+    t = pos - i
+    k = (i + offset).astype(np.int64)
+    f0, f1 = cdf.take(k), cdf[1:].take(k)
+    g0, g1 = density.take(k) * dx, density[1:].take(k) * dx
+    t2 = t * t
+    t3 = t2 * t
+    u = 3 * t2
+    out = (2 * t3 - u + 1) * f0 + (t3 - 2 * t2 + t) * g0 + (-2 * t3 + u) * f1 + (t3 - t2) * g1
+    out = np.where(pos <= 0.0, 0.0, np.where(pos >= n - 1, 1.0, out))
+    return np.minimum(np.maximum(out, 0.0), 1.0)
+
+
 @dataclass
 class CdfCurve:
     """CDF (and density) on a uniform grid, with a global inversion error
@@ -377,27 +408,8 @@ class CdfCurve:
         """Cubic Hermite between grid nodes (density = derivative), so the
         interpolation error matches the integration accuracy; clamps to 0/1
         outside the window."""
-        n = len(self.cdf)
-        # positions one step past either edge clamp the same as any further
-        # out, so huge |x| never overflows the arithmetic below; minimum and
-        # maximum instead of np.clip, whose call overhead dominates small x
-        x = np.asarray(x, dtype=float)
-        x = np.minimum(np.maximum(x, self.x0 - self.dx), self.x0 + n * self.dx)
-        pos = (x - self.x0) / self.dx
-        i = np.minimum(np.maximum(np.floor(pos).astype(np.int64), 0), n - 2)
-        t = pos - i
-        f0, f1 = self.cdf[i], self.cdf[i + 1]
-        g0, g1 = self.density[i] * self.dx, self.density[i + 1] * self.dx
-        t2 = t * t
-        t3 = t2 * t
-        out = (
-            (2 * t3 - 3 * t2 + 1) * f0
-            + (t3 - 2 * t2 + t) * g0
-            + (-2 * t3 + 3 * t2) * f1
-            + (t3 - t2) * g1
-        )
-        out = np.where(pos <= 0.0, 0.0, np.where(pos >= n - 1, 1.0, out))
-        return np.minimum(np.maximum(out, 0.0), 1.0)
+        return _hermite(np.asarray(x, dtype=float), self.x0, self.dx, len(self.cdf), 0,
+                        self.cdf, self.density)
 
 
 # |cf| budget of the t-grid: at its top point, and for the bound on the part
@@ -407,6 +419,12 @@ _CF_FLOOR = 1e-12
 _OCTAVE_BATCH = 1 << 10
 # largest t-grid a curve may use; a build that needs more is refused
 _MAX_POINTS = 1 << 21
+
+
+def _node_stride(n: int) -> int:
+    """Stride of the nodes a curve keeps from its n-point FFT grid: curves can
+    be large, and a decimated grid keeps interpolation error tiny."""
+    return max(1, n >> 18)
 
 
 def _fill_cf_grid(cf: Callable, double: Callable, t: np.ndarray) -> tuple:
@@ -485,16 +503,15 @@ def invert_cf_curve(cf: Callable, double: Callable, lo: float, hi: float, n_poin
         raise InversionError("inverted density lost most of its mass; window misplaced")
     cdf = np.minimum.accumulate(np.minimum(cdf / mass, 1.0)[::-1])[::-1]
     cdf = np.maximum.accumulate(np.clip(cdf, 0.0, 1.0))
-    # curves can be large; a decimated grid keeps interpolation error tiny
-    stride = max(1, n >> 18)
+    stride = _node_stride(n)
     return CdfCurve(x0=lo, dx=dx * stride, cdf=cdf[::stride], density=g[::stride] / mass, error=err)
 
 
-# entry bounds of the curve caches: a limit-curves benchmark round reads 273
-# W_{j,gamma} curves (about 31 MB) and a few W_gamma curves of up to 4 MB
-# each; the bounds leave room above that and keep a long gamma sweep from
-# holding every curve it ever built
-_WJG_CACHE_SIZE = 512
+# entry bounds of the curve caches: a limit-curves benchmark round reads the
+# W_{j,gamma} families of about 20 gammas (about 31 MB in all) and a few
+# W_gamma curves of up to 4 MB each; the bounds leave room above that and
+# keep a long gamma sweep from holding every curve it ever built
+_FAMILY_CACHE_SIZE = 32
 _WG_CACHE_SIZE = 16
 
 
@@ -504,17 +521,19 @@ def wjg_cdf_curve(j: int, gamma: float) -> CdfCurve:
     Window: mean log2(eta), Gaussian scale sqrt(2 eta) near the centre, but the
     right edge must clear ~2.75 eta because single big Levy jumps carry mass
     way past the Gaussian range before the superexponential regime kicks in.
-    The cache keeps the _WJG_CACHE_SIZE most recently read curves.  gamma
-    must be positive and finite and 2^j/gamma finite and nonzero, else
-    ValueError.
+    The curves of one gamma form a family: their nodes lie end to end in one
+    read-only cdf and one density array, and the curve returned views its
+    slot.  The cache keeps the _FAMILY_CACHE_SIZE most recently read
+    families.  gamma must be positive and finite and 2^j/gamma finite and
+    nonzero, else ValueError.
     """
     gamma = float(gamma)
     eta_jgamma(j, gamma)
-    return _wjg_curve(j, gamma)
+    return _wjg_family(gamma).curve(j)
 
 
-@functools.lru_cache(maxsize=_WJG_CACHE_SIZE)
-def _wjg_curve(j: int, gamma: float) -> CdfCurve:
+def _wjg_window(j: int, gamma: float) -> tuple:
+    """(eta, lo, hi, n): the window [lo, hi] and FFT grid size of W_{j,gamma}."""
     eta = math.ldexp(1.0, j) / gamma
     mu = math.log2(eta)
     sigma = math.sqrt(2.0 * eta)
@@ -523,8 +542,89 @@ def _wjg_curve(j: int, gamma: float) -> CdfCurve:
     t_req = 70.0 if eta >= 0.5 else max(70.0, math.sqrt(34.0 / eta))
     dx_target = min(0.02 if eta <= 64.0 else 0.08, sigma / 6.0, 2.0 * math.pi / t_req)
     n = 1 << max(10, math.ceil(math.log2((hi - lo) / dx_target)))
+    return eta, lo, hi, n
+
+
+def _wjg_curve(j: int, gamma: float) -> CdfCurve:
+    """The uncached build of the W_{j,gamma} curve."""
+    eta, lo, hi, n = _wjg_window(j, gamma)
     return invert_cf_curve(lambda t: cf_Wjgamma(j, gamma, t),
                            lambda phi, t: _double_wjg(eta, phi, t), lo, hi, n)
+
+
+class _Slot(NamedTuple):
+    x0: float
+    dx: float
+    offset: int  # first node in the family's arrays
+    nodes: int
+    error: float
+
+
+class _Family:
+    """The W_{j,gamma} curves of one gamma, end to end in one cdf and one
+    density array, with one slot record per curve and the slots' fields as
+    small arrays sorted by j, for the mixture's per-term lookups."""
+
+    def __init__(self, gamma: float):
+        self.gamma = gamma
+        self.slots: dict = {}
+        self.cdf = self.density = np.empty(0)
+        self._index()
+
+    def _index(self):
+        js = sorted(self.slots)
+        slots = [self.slots[j] for j in js]
+        self.j = np.array(js, dtype=np.int64)
+        self.x0 = np.array([s.x0 for s in slots])
+        self.dx = np.array([s.dx for s in slots])
+        self.offset = np.array([s.offset for s in slots], dtype=np.int64)
+        self.nodes = np.array([s.nodes for s in slots], dtype=np.int64)
+
+    def hold(self, js) -> None:
+        """Build the curves of js the family lacks into one grown arena: each
+        slot is sized from the curve's window, and each build is written
+        into its slot, so no curve is held twice.  The old arena is copied
+        and let go before the first build, and the largest curve is built
+        first: while it runs, the new slots are still untouched pages.  If
+        a build fails, the arena keeps the curves built before it and is
+        cut back to them."""
+        missing = [j for j in dict.fromkeys(js) if j not in self.slots]
+        if not missing:
+            return
+        sizes = []
+        for j in missing:
+            n = _wjg_window(j, self.gamma)[3]
+            sizes.append(-(-n // _node_stride(n)))
+        sizes, missing = zip(*sorted(zip(sizes, missing), reverse=True))
+        start = self.cdf.size
+        cdf = np.empty(start + sum(sizes))
+        density = np.empty_like(cdf)
+        cdf[:start], density[:start] = self.cdf, self.density
+        self.cdf, self.density = cdf, density
+        try:
+            for j, size in zip(missing, sizes):
+                curve = _wjg_curve(j, self.gamma)
+                cdf[start : start + size] = curve.cdf  # a size mismatch raises here
+                density[start : start + size] = curve.density
+                self.slots[j] = _Slot(curve.x0, curve.dx, start, size, curve.error)
+                start += size
+        finally:
+            if start < cdf.size:
+                self.cdf, self.density = cdf[:start].copy(), density[:start].copy()
+            self.cdf.flags.writeable = self.density.flags.writeable = False
+            self._index()
+
+    def curve(self, j: int) -> CdfCurve:
+        """The curve of j, built first if the family lacks it, as views of its slot."""
+        self.hold((j,))
+        s = self.slots[j]
+        part = slice(s.offset, s.offset + s.nodes)
+        return CdfCurve(s.x0, s.dx, self.cdf[part], self.density[part], s.error)
+
+
+@functools.lru_cache(maxsize=_FAMILY_CACHE_SIZE)
+def _wjg_family(gamma: float) -> _Family:
+    return _Family(gamma)
 
 
 def wgamma_cdf_curve(gamma: float, hi: float = 24576.0) -> CdfCurve:
@@ -590,7 +690,11 @@ def _collapse_cut(gamma: float, x_hi: float) -> int:
 
 
 class _TermTable(NamedTuple):
-    groups: tuple  # (curve index jj, shifts, weights), one per conditional curve
+    # one entry per term, in ascending jj, so the terms of one curve are adjacent
+    jj: np.ndarray  # index j of the conditional curve W_{j,gamma}
+    shifts: np.ndarray
+    weights: np.ndarray
+    curves: tuple  # the distinct jj, ascending
     skipped: float  # mixture weight of the terms left out
     deficit: float  # weight the collapse factors take off above the window
 
@@ -598,9 +702,11 @@ class _TermTable(NamedTuple):
 @functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _term_table(gamma: float, star: bool, s_cut: int) -> _TermTable:
     # terms p_j r_j(m) for the level j of the maximum and its Poisson count m;
-    # conditional curve j-1, shifted by (m-1) 2^j/gamma (m 2^j/gamma untrimmed)
+    # conditional curve j-1, shifted by (m-1) 2^j/gamma (m 2^j/gamma untrimmed).
+    # Levels come in ascending j, so jj ascends: only the levels past the
+    # collapse cut share a curve, and they come last
     m = np.arange(1, _R_TERMS + 1)
-    groups: dict = {}
+    levels = []  # (jj, shifts, weights) of each level
     nominal = []  # p_j r_j(m) of every kept term, before any collapse factor
     used = 0.0
     for j in range(-8, 64):
@@ -623,19 +729,18 @@ def _term_table(gamma: float, star: bool, s_cut: int) -> _TermTable:
         keep = rw * factor > 1e-15
         step = math.ldexp(1.0, j) / gamma
         shifts = ((m[:count] - 1) if star else m[:count])[keep] * step
-        shift_list, weight_list = groups.setdefault(jj, ([], []))
-        shift_list.append(shifts)
-        weight_list.append(pj * rw[keep] * factor)
+        levels.append((np.full(shifts.size, jj), shifts, pj * rw[keep] * factor))
         nominal.append(pj * rw[keep])
         used += pj
-    table = tuple((jj, np.concatenate(s), np.concatenate(w)) for jj, (s, w) in groups.items())
-    kept = math.fsum(np.concatenate(nominal)) if nominal else 0.0
-    weights = math.fsum(np.concatenate([w for _, _, w in table])) if table else 0.0
-    return _TermTable(table, max(0.0, 1.0 - kept), kept - weights)
+    jj, shifts, weights = (np.concatenate(f) for f in zip(*levels))
+    kept = math.fsum(np.concatenate(nominal))
+    return _TermTable(jj, shifts, weights, tuple(dict.fromkeys(jj.tolist())),
+                      max(0.0, 1.0 - kept), kept - math.fsum(weights))
 
 
 def _mixture_table(gamma: float, xs: np.ndarray, star: bool):
-    """The term table for the points xs, and the largest finite point."""
+    """The term table for the points xs, the family that holds its curves,
+    and the largest finite point."""
     _check_merging_gamma(gamma)
     if np.isnan(xs).any():
         raise ValueError("x must not be nan")
@@ -643,31 +748,34 @@ def _mixture_table(gamma: float, xs: np.ndarray, star: bool):
     finite_hi = float(finite.max()) if finite.size else 0.0
     x_hi = min(max(finite_hi, 64.0), _COLLAPSE_X_MAX)
     table = _term_table(float(gamma), star, _collapse_cut(gamma, x_hi))
-    return table, finite_hi
+    family = _wjg_family(float(gamma))
+    family.hold(table.curves)
+    return table, family, finite_hi
 
 
 def _mixture_cdf(gamma: float, xs: np.ndarray, star: bool) -> np.ndarray:
-    """Mixture CDF at xs from the cached term table: per conditional curve,
-    one (points x terms) evaluation of the shifted curve times the weights.
+    """Mixture CDF at xs from the cached term table, in one pass over all its
+    terms: each term's curve is looked up in the gamma family (its x0, dx,
+    first node and node count), and one Hermite evaluation per (row chunk x
+    terms) block of at most _EVAL_CHUNK elements is summed with the weights.
 
-    Curves are read through wjg_cdf_curve on every call, so its cache stays
-    their only owner.  Levels with p_j < 1e-10 are skipped; a level's
-    counts m stop at cumulative weight 1 - 1e-12 (at most 399); curves above
-    the collapse cut (set by the largest finite x, within 4096) are the cut's
-    curve times the no-big-jump factor.
+    The table holds curve indices and the family holds the curves, so the
+    family cache stays their only owner.  Levels with p_j < 1e-10 are
+    skipped; a level's counts m stop at cumulative weight 1 - 1e-12 (at most
+    399); curves above the collapse cut (set by the largest finite x, within
+    4096) are the cut's curve times the no-big-jump factor.
     """
-    table, finite_hi = _mixture_table(gamma, xs, star)
+    table, family, finite_hi = _mixture_table(gamma, xs, star)
+    c = np.searchsorted(family.j, table.jj)  # each term's curve in the family arrays
+    # a term shifted past every x evaluates to exactly 0
+    live = finite_hi - table.shifts >= family.x0[c]
+    c, shifts, weights = c[live], table.shifts[live], table.weights[live]
+    x0, dx, nodes, offset = family.x0[c], family.dx[c], family.nodes[c], family.offset[c]
     acc = np.zeros_like(xs)
-    for jj, shifts, weights in table.groups:
-        curve = wjg_cdf_curve(jj, gamma)
-        # a term shifted past every x evaluates to exactly 0
-        live = finite_hi - shifts >= curve.x0
-        shifts, weights = shifts[live], weights[live]
-        if not shifts.size:
-            continue
-        rows = max(1, _EVAL_CHUNK // shifts.size)
-        for a in range(0, xs.size, rows):
-            acc[a : a + rows] += curve.eval(xs[a : a + rows, None] - shifts) @ weights
+    rows = max(1, _EVAL_CHUNK // max(1, shifts.size))
+    for a in range(0, xs.size, rows):
+        acc[a : a + rows] = _hermite(xs[a : a + rows, None] - shifts, x0, dx, nodes, offset,
+                                     family.cdf, family.density) @ weights
     acc[xs == np.inf] = 1.0
     acc[xs == -np.inf] = 0.0
     return acc
@@ -698,10 +806,9 @@ def gstar_cdf_error(gamma: float, x):
     """
     scalar = np.ndim(x) == 0
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    table, _ = _mixture_table(gamma, xs, True)
-    curves = math.fsum(
-        float(w.sum()) * wjg_cdf_curve(jj, gamma).error for jj, _, w in table.groups
-    )
+    table, family, _ = _mixture_table(gamma, xs, True)
+    curves = math.fsum(float(table.weights[table.jj == jj].sum()) * family.slots[jj].error
+                       for jj in table.curves)
     out = table.skipped + curves + np.where(xs > _COLLAPSE_X_MAX, table.deficit, 0.0)
     out[np.isinf(xs)] = 0.0
     return float(out[0]) if scalar else out
@@ -720,7 +827,7 @@ def gmix_cdf(gamma: float, x):
 # the series representation Y_{r,gamma}
 
 
-_PSI_ROWS = 4096  # rows of one _psi_over_arg block in the series sampler
+_PSI_ROWS = 4096  # rows of one sub-block of exponential gaps in the series sampler
 
 
 def _psi_over_arg(vals: np.ndarray, gamma: float) -> np.ndarray:
@@ -743,8 +850,11 @@ def sample_Y(
     dyadic block of the arrival axis: within a block the summand is the
     constant 2^-m/gamma, so only the Poisson count per block matters, and
     truncation keeps the earliest arrivals by taking blocks in order.  This
-    turns 10^4 terms into ~10 counts.  The output is allocated before any
-    draw; reps that numpy cannot allocate raise ValueError naming reps.
+    turns 10^4 terms into ~10 counts.  The exact arrivals are drawn in
+    sub-blocks of _PSI_ROWS rows, so at most 4096 x 64 gaps are held at once;
+    a seed block's Poisson counts come after all its gaps.  The output is
+    allocated before any draw; reps that numpy cannot allocate raise
+    ValueError naming reps.
     """
     if not 0.0 < gamma < math.inf:
         raise ValueError("gamma must be positive and finite")
@@ -765,17 +875,20 @@ def sample_Y(
 
 def _sample_chunk_block(r, gamma, truncation, b, rng):
     k0 = min(truncation, max(64, r + 1))
-    z = rng.standard_exponential((b, k0))
-    np.cumsum(z, axis=1, out=z)
     s = np.empty(b)
-    # row chunks keep _psi_over_arg's temporaries small
+    t_lo = np.empty(b)
+    # the gaps come in row sub-blocks, each reduced to its rows' sums and last
+    # arrivals; numpy fills standard_exponential((b, k0)) row-major, so the
+    # stream is the same as one draw of the whole block
     for a in range(0, b, _PSI_ROWS):
-        s[a : a + _PSI_ROWS] = _psi_over_arg(z[a : a + _PSI_ROWS, r:], gamma).sum(axis=1)
+        z = rng.standard_exponential((min(_PSI_ROWS, b - a), k0))
+        np.cumsum(z, axis=1, out=z)
+        s[a : a + _PSI_ROWS] = _psi_over_arg(z[:, r:], gamma).sum(axis=1)
+        t_lo[a : a + _PSI_ROWS] = z[:, -1]
     rem = truncation - k0
     if rem == 0:
         return s
     remaining = np.full(b, rem, dtype=np.int64)
-    t_lo = z[:, -1]
     m = np.frexp(t_lo / gamma)[1] - 1  # current dyadic block of the arrival axis
     for _ in range(500):
         hi = np.ldexp(gamma, m + 1)

@@ -1,9 +1,11 @@
 """The per-term G* mixture loop the term table replaced, kept as a test oracle.
 
 ``legacy_mixture_cdf`` sums p_j r_j(m) times a shifted conditional curve one
-(j, m) term at a time, with one ``r_weight`` call and one ``CdfCurve.eval``
+(j, m) term at a time, with one ``r_weight`` call and one ``legacy_curve_eval``
 per term, in increasing j then m.  It reads the curves through the package's
 ``wjg_cdf_curve`` and shares no other code with the term table.
+``legacy_curve_eval`` is ``CdfCurve.eval`` as it was before the mixture and
+the curves shared one Hermite kernel.
 """
 
 import math
@@ -12,7 +14,29 @@ import numpy as np
 
 from petersburg.limitlaw import p_weight, r_weight, wjg_cdf_curve
 
-__all__ = ["legacy_mixture_cdf"]
+__all__ = ["legacy_curve_eval", "legacy_mixture_cdf"]
+
+
+def legacy_curve_eval(curve, x):
+    """Cubic Hermite between the curve's nodes; 0 and 1 outside its window."""
+    n = len(curve.cdf)
+    x = np.asarray(x, dtype=float)
+    x = np.minimum(np.maximum(x, curve.x0 - curve.dx), curve.x0 + n * curve.dx)
+    pos = (x - curve.x0) / curve.dx
+    i = np.minimum(np.maximum(np.floor(pos).astype(np.int64), 0), n - 2)
+    t = pos - i
+    f0, f1 = curve.cdf[i], curve.cdf[i + 1]
+    g0, g1 = curve.density[i] * curve.dx, curve.density[i + 1] * curve.dx
+    t2 = t * t
+    t3 = t2 * t
+    out = (
+        (2 * t3 - 3 * t2 + 1) * f0
+        + (t3 - 2 * t2 + t) * g0
+        + (-2 * t3 + 3 * t2) * f1
+        + (t3 - t2) * g1
+    )
+    out = np.where(pos <= 0.0, 0.0, np.where(pos >= n - 1, 1.0, out))
+    return np.minimum(np.maximum(out, 0.0), 1.0)
 
 
 def _collapse_cut(gamma, x_hi):
@@ -50,7 +74,7 @@ def legacy_mixture_cdf(gamma, xs, star, weight_tol=1e-10):
             shift = (m - 1) * step if star else m * step
             if rw * factor > 1e-15:
                 if finite_hi - shift >= curve.x0:
-                    acc += (pj * rw * factor) * curve.eval(xs - shift)
+                    acc += (pj * rw * factor) * legacy_curve_eval(curve, xs - shift)
             m += 1
         used += pj
     return acc

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -412,6 +413,37 @@ def test_y_tail_is_deterministic():
     assert outs[0] == outs[1] and b"error_estimate" in outs[0]
 
 
+def _readme_examples() -> list:
+    """(argv, stdout) of each command README shows with its exact output."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("A few examples with their exact output:", 1)[1].split("```")[1]
+    examples = []
+    for chunk in block.strip().split("\n\n"):
+        command, *output = chunk.split("\n")
+        assert command.startswith("$ petersburg ")
+        examples.append((command.split()[2:], "\n".join(output) + "\n"))
+    return examples
+
+
+def test_readme_examples_print_what_readme_shows():
+    # each in a fresh process; the merge-check ks passes through the W_gamma
+    # curve, so it is compared within twice that curve's error (Determinism)
+    examples = _readme_examples()
+    assert [argv[0] for argv, _ in examples] == [
+        "exact-tail", "tail", "chernoff", "conv-ratio", "merge-check"]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(petersburg.__file__)))
+    for argv, want in examples:
+        got = subprocess.run([sys.executable, "-m", "petersburg.cli", *argv], capture_output=True,
+                             text=True, env=env, check=True).stdout
+        if argv[0] != "merge-check":
+            assert got == want, argv
+            continue
+        doc, ref = json.loads(got), json.loads(want)
+        tol = 2.0 * limitlaw.wgamma_cdf_curve(ref["gamma"]).error
+        assert doc.pop("ks") == pytest.approx(ref.pop("ks"), rel=0, abs=tol)
+        assert doc == ref
+
+
 def test_centering_closed_form_only_untrimmed(capsys):
     rc, out, _ = run(capsys, "centering", "--n", "8", "--gamma", "1.0", "--r", "0")
     doc = json.loads(out)
@@ -488,39 +520,37 @@ def test_merge_check_frozen_seed(capsys, monkeypatch):
     assert tol < 1e-9
     assert json.loads(out)["ks"] == pytest.approx(0.028105620080889307, rel=0, abs=tol)
 
-    used = []
-    build = limitlaw.wjg_cdf_curve
+    # the run's curves are those of the term tables it looked up
+    tables = []
+    lookup = limitlaw._term_table
 
-    def recording(j, gamma):
-        curve = build(j, gamma)
-        used.append(curve)
-        return curve
+    def recording(*args):
+        tables.append(lookup(*args))
+        return tables[-1]
 
-    monkeypatch.setattr(limitlaw, "wjg_cdf_curve", recording)
+    monkeypatch.setattr(limitlaw, "_term_table", recording)
     rc, out, _ = run(capsys, "trimmed-merge-check", "--n", "64", "--reps", "20000", "--seed", "7")
     assert rc == 0
-    tol = 2.0 * max(c.error for c in used)
+    used = {jj for table in tables for jj in table.curves}
+    assert len(used) >= 10
+    tol = 2.0 * max(limitlaw.wjg_cdf_curve(jj, gamma_n(64)).error for jj in used)
     assert tol < 1e-9
     assert json.loads(out)["ks"] == pytest.approx(0.05349497137572723, rel=0, abs=tol)
 
 
 def test_trimmed_merge_check_reads_curves_when_warm(capsys, monkeypatch):
-    # the term table holds curve indices, not curves: a warm run still reads
-    # every curve through wjg_cdf_curve
+    # the term table holds curve indices and the gamma family holds the
+    # curves: a warm run reads them all from the family and builds none
     argv = ("trimmed-merge-check", "--n", "64", "--reps", "2000", "--seed", "3")
     rc, first, _ = run(capsys, *argv)
     assert rc == 0
-    used = []
-    build = limitlaw.wjg_cdf_curve
 
-    def recording(j, gamma):
-        used.append((j, gamma))
-        return build(j, gamma)
+    def no_build(j, gamma):
+        raise AssertionError(f"warm run built W_{{{j},{gamma}}}")
 
-    monkeypatch.setattr(limitlaw, "wjg_cdf_curve", recording)
+    monkeypatch.setattr(limitlaw, "_wjg_curve", no_build)
     rc, second, _ = run(capsys, *argv)
     assert rc == 0 and second == first
-    assert len(set(used)) >= 10
 
 
 def test_max_check_csv(capsys):

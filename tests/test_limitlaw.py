@@ -15,7 +15,7 @@ from scipy.stats import ks_2samp, norm
 
 from legacy_cf import (legacy_cf_Wgamma, legacy_cf_Wjgamma, legacy_invert_cf_curve,
                        two_sin_cf_Wgamma, two_sin_log_cf_f)
-from legacy_mixture import legacy_mixture_cdf
+from legacy_mixture import legacy_curve_eval, legacy_mixture_cdf
 from oracle_reference import series_y_direct
 from petersburg import limitlaw
 from petersburg.limitlaw import (
@@ -111,14 +111,15 @@ def _recorded_calls(monkeypatch, name, build, args):
         return out
 
     monkeypatch.setattr(limitlaw, name, recording)
-    build.__wrapped__(*args)
+    build(*args)
     monkeypatch.undo()
     return calls
 
 
 @pytest.mark.parametrize("gamma,hi", [(1.0, 24576.0), (0.75, 3072.0), (0.5, 3072.0)])
 def test_one_sin_ladder_matches_two_sin_kernel_on_wgamma(monkeypatch, gamma, hi):
-    calls = _recorded_calls(monkeypatch, "cf_Wgamma", limitlaw._wgamma_curve, (gamma, hi))
+    calls = _recorded_calls(monkeypatch, "cf_Wgamma", limitlaw._wgamma_curve.__wrapped__,
+                            (gamma, hi))
     assert len(calls) >= 2
     for (g, t), phi in calls:
         assert np.array_equal(phi, two_sin_cf_Wgamma(g, t))
@@ -261,6 +262,19 @@ def test_nondecaying_cf_is_rejected():
         cdf_from_cf(lambda t: np.ones_like(np.asarray(t, dtype=complex)), 0.0, tol=1e-6)
 
 
+def test_pointwise_inversion_refuses_what_it_cannot_answer():
+    # refused by name before the first cf call
+    def cf(t):
+        raise AssertionError("cf was called")
+
+    for x in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="x must be finite"):
+            cdf_from_cf(cf, x)
+    for tol in (math.nan, -1.0, 0.0, math.inf):
+        with pytest.raises(ValueError, match="tol must lie in"):
+            cdf_from_cf(cf, 1.0, tol=tol)
+
+
 def test_wjg_curve_moments():
     for j, g in ((0, 1.0), (1, 0.75), (-1, 0.6)):
         eta = 2.0**j / g
@@ -305,7 +319,7 @@ def _with_legacy_twin(monkeypatch, build, args, legacy_cf):
         return real(cf, double, lo, hi, n_points)
 
     monkeypatch.setattr(limitlaw, "invert_cf_curve", recording)
-    curve = build.__wrapped__(*args)
+    curve = build(*args)
     monkeypatch.undo()
     return curve, legacy_invert_cf_curve(legacy_cf, seen["lo"], seen["hi"], seen["n"])
 
@@ -313,8 +327,8 @@ def _with_legacy_twin(monkeypatch, build, args, legacy_cf):
 @pytest.mark.parametrize("hi", [24576.0, 3072.0])
 def test_wgamma_curves_match_legacy(monkeypatch, hi):
     for g in (0.5, 0.75, 1.0):
-        curve, legacy = _with_legacy_twin(monkeypatch, limitlaw._wgamma_curve, (g, hi),
-                                          lambda t: legacy_cf_Wgamma(g, t))
+        curve, legacy = _with_legacy_twin(monkeypatch, limitlaw._wgamma_curve.__wrapped__,
+                                          (g, hi), lambda t: legacy_cf_Wgamma(g, t))
         assert curve.cdf.shape == legacy.cdf.shape
         err = min(curve.error, legacy.error)
         assert float(np.max(np.abs(curve.cdf - legacy.cdf))) <= err
@@ -333,7 +347,7 @@ def test_curve_builds_meet_the_cf_floor_on_their_first_grid(monkeypatch):
     monkeypatch.setattr(limitlaw, "invert_cf_curve", probe)
     for g in (0.5, 0.6, 0.75, 0.8, 0.9, 1.0):
         for j in range(-25, 16):
-            limitlaw._wjg_curve.__wrapped__(j, g)
+            limitlaw._wjg_curve(j, g)
         for hi in (64.0, 3072.0, 24576.0, 1e5):
             limitlaw._wgamma_curve.__wrapped__(g, hi)
     assert len(tops) == 6 * (41 + 4)
@@ -351,7 +365,8 @@ def test_wjg_curves_match_legacy(monkeypatch):
 
 
 @pytest.mark.parametrize("build,args", [
-    *[(limitlaw._wgamma_curve, (g, hi)) for g in (0.5, 0.75, 1.0) for hi in (3072.0, 24576.0)],
+    *[(limitlaw._wgamma_curve.__wrapped__, (g, hi))
+      for g in (0.5, 0.75, 1.0) for hi in (3072.0, 24576.0)],
     *[(limitlaw._wjg_curve, (j, 1.0)) for j in (-20, -8, 0, 9, 14)],
 ])
 def test_octave_stop_matches_full_grid(monkeypatch, build, args):
@@ -368,9 +383,9 @@ def test_octave_stop_matches_full_grid(monkeypatch, build, args):
         return phi, bound
 
     monkeypatch.setattr(limitlaw, "_fill_cf_grid", recording)
-    curve = build.__wrapped__(*args)
+    curve = build(*args)
     monkeypatch.setattr(limitlaw, "_OCTAVE_BATCH", 1 << 30)
-    full = build.__wrapped__(*args)
+    full = build(*args)
     skipped, nothing = bounds
     assert nothing == 0.0
     assert 0.0 <= skipped <= 1e-12 and curve.error >= skipped
@@ -382,10 +397,11 @@ def test_octave_fill_stops_where_the_cf_has_vanished(monkeypatch):
     # W_1 at hi = 24576 has 2^18 grid points; |cf| < 1e-17 above t = 17.7,
     # the top of octave 2^15, so the top probe and that octave's odd points
     # are all the cf work, against 2^17 + 1 calls for the whole odd grid
-    calls = _recorded_calls(monkeypatch, "cf_Wgamma", limitlaw._wgamma_curve, (1.0, 24576.0))
+    calls = _recorded_calls(monkeypatch, "cf_Wgamma", limitlaw._wgamma_curve.__wrapped__,
+                            (1.0, 24576.0))
     assert sum(np.size(t) for (_, t), _ in calls) <= 2**15 + 2
     # a cf that is still large high up the grid keeps its accuracy
-    assert limitlaw._wjg_curve.__wrapped__(-20, 1.0).error <= 4.63e-9
+    assert limitlaw._wjg_curve(-20, 1.0).error <= 4.63e-9
 
 
 def test_wgamma_curve_is_invariant_under_doubling():
@@ -494,27 +510,87 @@ def test_gstar_error_covers_what_the_mixture_leaves_out():
 
 
 def test_curve_caches_are_bounded(monkeypatch):
-    # stand-in curves keep the sweep cheap; the caches are emptied afterwards
-    # so no stand-in outlives the test
-    stub = CdfCurve(x0=-60.0, dx=1.0, cdf=np.linspace(0.0, 1.0, 121),
-                    density=np.full(121, 1.0 / 120.0), error=0.0)
-    monkeypatch.setattr(limitlaw, "invert_cf_curve", lambda *args, **kwargs: stub)
-    caches = (limitlaw._wjg_curve, limitlaw._wgamma_curve, limitlaw._term_table)
+    # stand-in curves, as many nodes as a real build keeps, keep the sweep
+    # cheap; the caches are emptied afterwards so no stand-in outlives the test
+    def stub(cf, double, lo, hi, n_points):
+        nodes = -(-n_points // limitlaw._node_stride(n_points))
+        return CdfCurve(x0=lo, dx=(hi - lo) / nodes, cdf=np.linspace(0.0, 1.0, nodes),
+                        density=np.full(nodes, 1.0 / (hi - lo)), error=0.0)
+
+    monkeypatch.setattr(limitlaw, "invert_cf_curve", stub)
+    caches = (limitlaw._wjg_family, limitlaw._wgamma_curve, limitlaw._term_table)
     try:
         gammas = np.linspace(0.6, 0.9, 2 * limitlaw._TABLE_CACHE_SIZE)
         for g in gammas:
             gstar_cdf(float(g), 1.0)
-        for j in range(limitlaw._WJG_CACHE_SIZE + 1):
+        for j in range(limitlaw._FAMILY_CACHE_SIZE + 1):
             wjg_cdf_curve(j % 50, 0.5 + j / 1e4)
         for g in gammas[: limitlaw._WG_CACHE_SIZE + 1]:
             wgamma_cdf_curve(float(g))
         for c in caches:
             info = c.cache_info()
             assert info.misses > info.maxsize >= info.currsize
-        assert limitlaw._wjg_curve.cache_info().currsize == limitlaw._WJG_CACHE_SIZE
+        assert limitlaw._wjg_family.cache_info().currsize == limitlaw._FAMILY_CACHE_SIZE
     finally:
         for c in caches:
             c.cache_clear()
+
+
+@pytest.mark.parametrize("gamma", [0.6, 0.75, 1.0])
+def test_family_curves_are_the_uncached_builds(gamma):
+    # a curve read from its family's arena is the builder's curve, bit for bit
+    for j in (-20, -5, 0, 8, 14):
+        curve, built = wjg_cdf_curve(j, gamma), limitlaw._wjg_curve(j, gamma)
+        assert (curve.x0, curve.dx, curve.error) == (built.x0, built.dx, built.error)
+        assert np.array_equal(curve.cdf, built.cdf)
+        assert np.array_equal(curve.density, built.density)
+        assert np.shares_memory(curve.cdf, limitlaw._wjg_family(gamma).cdf)
+
+
+def test_family_arena_holds_each_curve_once():
+    # a single read, a G* table's batch, then another single read: the arena
+    # grows by exactly the missing curves' nodes each time, never holding a
+    # curve twice, and its slots tile it end to end; a failed build is not
+    # left behind
+    gamma = 0.7071
+    family = limitlaw._wjg_family(gamma)
+    wjg_cdf_curve(2, gamma)
+    gstar_cdf(gamma, np.linspace(-4.0, 40.0, 9))
+    wjg_cdf_curve(-12, gamma)
+    slots = sorted(family.slots.values(), key=lambda s: s.offset)
+    assert len(slots) >= 12
+    assert [s.offset for s in slots] == list(np.cumsum([0] + [s.nodes for s in slots[:-1]]))
+    curves = [wjg_cdf_curve(j, gamma) for j in family.slots]
+    node_bytes = sum(c.cdf.nbytes + c.density.nbytes for c in curves)
+    assert family.cdf.nbytes + family.density.nbytes == node_bytes
+    assert not family.cdf.flags.writeable and not family.density.flags.writeable
+    # a refused build leaves the arena as it was
+    with pytest.raises(InversionError, match="grid points"):
+        wjg_cdf_curve(20, gamma)
+    assert family.cdf.nbytes + family.density.nbytes == node_bytes
+    assert 20 not in family.slots and not family.cdf.flags.writeable
+
+
+def test_curve_eval_keeps_its_bits():
+    # the shared Hermite kernel against CdfCurve.eval as it was, on every
+    # node, between nodes, far out and at +-inf
+    for curve in (wjg_cdf_curve(0, 0.75), wjg_cdf_curve(-20, 1.0), wgamma_cdf_curve(1.0, 3072.0)):
+        nodes = curve.x0 + curve.dx * np.arange(len(curve.cdf))
+        for x in (nodes, nodes[:-1] + 0.37 * curve.dx,
+                  np.array([-1e308, 1e308, -math.inf, math.inf]), 1e308, -math.inf):
+            got, want = curve.eval(x), legacy_curve_eval(curve, x)
+            assert np.shape(got) == np.shape(want)
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("gamma", [0.6, 0.75, 1.0])
+def test_gstar_scalar_and_grid_agree(gamma):
+    # both paths sum the same terms, grouped differently (a scalar query
+    # drops the terms shifted past its x), so they agree to rounding
+    xs = np.linspace(-4.0, 40.0, 2000)
+    grid = gstar_cdf(gamma, xs)
+    scalar = np.array([gstar_cdf(gamma, float(x)) for x in xs])
+    assert float(np.max(np.abs(grid - scalar))) <= 1e-15
 
 
 def test_sample_y_deterministic_and_shaped():
