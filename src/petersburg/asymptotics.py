@@ -168,7 +168,11 @@ def gen_snr_tail_rhs(n: int, r: int, x, params: GameParams = CLASSICAL) -> TailA
         raise ValueError("x must be at least the smallest payoff")
     q, alpha = params.q, params.alpha
     _fl, frac = _floor_frac_log_general(x, params)
-    leading = math.comb(n, r + 1) * q ** (-(r + 1) * frac) / x ** ((r + 1) * alpha)
+    try:
+        power = x ** ((r + 1) * alpha)
+    except OverflowError:
+        raise ValueError(f"x^((r + 1) alpha) is past the float range at x = {x}") from None
+    leading = math.comb(n, r + 1) * q ** (-(r + 1) * frac) / power
     m = n - r - 1
     inner, half = _gen_sum_tail(m, x * (1.0 - q ** (frac / alpha)), params)
     weight = q ** (-(r + 1)) - 1.0

@@ -62,7 +62,10 @@ def p_weight(j: int, gamma: float) -> float:
     """Merging weight of the event {maximum sits j octaves above ceil(log2 n)}:
     e^(-gamma 2^-j) (1 - e^(-gamma 2^-j)); telescopes to 1 over j in Z."""
     _check_merging_gamma(gamma)
-    lam = math.ldexp(gamma, -j)
+    try:
+        lam = math.ldexp(gamma, -j)
+    except OverflowError:  # e^-lam is then far below the smallest float
+        return 0.0
     return math.exp(-lam) * -math.expm1(-lam)
 
 
@@ -367,12 +370,12 @@ def cdf_from_cf(cf: Callable, x: float, tol: float = 1e-10) -> InvertedCdf:
     return InvertedCdf(min(max(val, 0.0), 1.0), err)
 
 
-def _hermite(x, x0, dx, n, offset, cdf: np.ndarray, density: np.ndarray) -> np.ndarray:
-    """Cubic Hermite interpolation at x of the CDF nodes cdf[offset :
-    offset + n] on the grid x0 + k dx, with density their derivative: exactly
-    0 at or left of the first node, 1 at or right of the last, clamped to
-    [0, 1] between.  x0, dx, n and offset are scalars, or arrays (one entry
-    per mixture term) that broadcast against x."""
+def _hermite(x, x0, dx, n, cdf: np.ndarray, density: np.ndarray) -> tuple:
+    """Cubic Hermite interpolation at x of the CDF nodes cdf on the grid
+    x0 + k dx, k < n, with density their derivative: (value, slope).  The
+    value is exactly 0 at or left of the first node, 1 at or right of the
+    last, clamped to [0, 1] between; the slope is the cubic's derivative,
+    0 outside the nodes."""
     # positions one step past either edge clamp the same as any further
     # out, so huge |x| never overflows the arithmetic below; minimum and
     # maximum instead of np.clip, whose call overhead dominates small x
@@ -382,21 +385,25 @@ def _hermite(x, x0, dx, n, offset, cdf: np.ndarray, density: np.ndarray) -> np.n
     # these sizes), so that t is a difference of two floats
     i = np.minimum(np.maximum(np.floor(pos), 0.0), n - 2)
     t = pos - i
-    k = (i + offset).astype(np.int64)
+    k = i.astype(np.int64)
     f0, f1 = cdf.take(k), cdf[1:].take(k)
     g0, g1 = density.take(k) * dx, density[1:].take(k) * dx
     t2 = t * t
     t3 = t2 * t
     u = 3 * t2
     out = (2 * t3 - u + 1) * f0 + (t3 - 2 * t2 + t) * g0 + (-2 * t3 + u) * f1 + (t3 - t2) * g1
-    out = np.where(pos <= 0.0, 0.0, np.where(pos >= n - 1, 1.0, out))
-    return np.minimum(np.maximum(out, 0.0), 1.0)
+    slope = ((6 * t2 - 6 * t) * (f0 - f1) + (u - 4 * t + 1) * g0 + (u - 2 * t) * g1) / dx
+    left, right = pos <= 0.0, pos >= n - 1
+    out = np.where(left, 0.0, np.where(right, 1.0, out))
+    slope = np.where(left | right, 0.0, slope)
+    return np.minimum(np.maximum(out, 0.0), 1.0), slope
 
 
 @dataclass
 class CdfCurve:
     """CDF (and density) on a uniform grid, with a global inversion error
-    estimate; evaluation clamps to 0/1 outside the window."""
+    estimate (a G* segment holds one per node interval); evaluation clamps
+    to 0/1 outside the window."""
 
     x0: float
     dx: float
@@ -408,8 +415,8 @@ class CdfCurve:
         """Cubic Hermite between grid nodes (density = derivative), so the
         interpolation error matches the integration accuracy; clamps to 0/1
         outside the window."""
-        return _hermite(np.asarray(x, dtype=float), self.x0, self.dx, len(self.cdf), 0,
-                        self.cdf, self.density)
+        return _hermite(np.asarray(x, dtype=float), self.x0, self.dx, len(self.cdf),
+                        self.cdf, self.density)[0]
 
 
 # |cf| budget of the t-grid: at its top point, and for the bound on the part
@@ -419,12 +426,6 @@ _CF_FLOOR = 1e-12
 _OCTAVE_BATCH = 1 << 10
 # largest t-grid a curve may use; a build that needs more is refused
 _MAX_POINTS = 1 << 21
-
-
-def _node_stride(n: int) -> int:
-    """Stride of the nodes a curve keeps from its n-point FFT grid: curves can
-    be large, and a decimated grid keeps interpolation error tiny."""
-    return max(1, n >> 18)
 
 
 def _fill_cf_grid(cf: Callable, double: Callable, t: np.ndarray) -> tuple:
@@ -503,33 +504,35 @@ def invert_cf_curve(cf: Callable, double: Callable, lo: float, hi: float, n_poin
         raise InversionError("inverted density lost most of its mass; window misplaced")
     cdf = np.minimum.accumulate(np.minimum(cdf / mass, 1.0)[::-1])[::-1]
     cdf = np.maximum.accumulate(np.clip(cdf, 0.0, 1.0))
-    stride = _node_stride(n)
-    return CdfCurve(x0=lo, dx=dx * stride, cdf=cdf[::stride], density=g[::stride] / mass, error=err)
+    # curves keep at most 2^18 of their grid's nodes, a decimated grid keeps
+    # interpolation error tiny; copied, so a cached curve holds only those
+    stride = max(1, n >> 18)
+    return CdfCurve(x0=lo, dx=dx * stride, cdf=np.ascontiguousarray(cdf[::stride]),
+                    density=g[::stride] / mass, error=err)
 
 
-# entry bounds of the curve caches: a limit-curves benchmark round reads the
-# W_{j,gamma} families of about 20 gammas (about 31 MB in all) and a few
-# W_gamma curves of up to 4 MB each; the bounds leave room above that and
-# keep a long gamma sweep from holding every curve it ever built
-_FAMILY_CACHE_SIZE = 32
+# entry bounds of the curve caches: a G* segment reads about 20 W_{j,gamma}
+# curves of one gamma while it is built, and a few W_gamma curves of up to
+# 4 MB each are read again and again; the bounds keep a long gamma sweep
+# from holding every curve it ever built
+_WJG_CACHE_SIZE = 32
 _WG_CACHE_SIZE = 16
 
 
+@functools.lru_cache(maxsize=_WJG_CACHE_SIZE)
 def wjg_cdf_curve(j: int, gamma: float) -> CdfCurve:
     """Cached CDF curve of the conditional limit W_{j,gamma}.
 
     Window: mean log2(eta), Gaussian scale sqrt(2 eta) near the centre, but the
     right edge must clear ~2.75 eta because single big Levy jumps carry mass
     way past the Gaussian range before the superexponential regime kicks in.
-    The curves of one gamma form a family: their nodes lie end to end in one
-    read-only cdf and one density array, and the curve returned views its
-    slot.  The cache keeps the _FAMILY_CACHE_SIZE most recently read
-    families.  gamma must be positive and finite and 2^j/gamma finite and
-    nonzero, else ValueError.
+    The cache keeps the _WJG_CACHE_SIZE most recently read curves.  gamma
+    must be positive and finite and 2^j/gamma finite and nonzero, else
+    ValueError; a window too fine for any t-grid raises InversionError.
     """
     gamma = float(gamma)
     eta_jgamma(j, gamma)
-    return _wjg_family(gamma).curve(j)
+    return _wjg_curve(j, gamma)
 
 
 def _wjg_window(j: int, gamma: float) -> tuple:
@@ -541,6 +544,8 @@ def _wjg_window(j: int, gamma: float) -> tuple:
     hi = mu + max(50.0, 14.0 * sigma, 2.75 * eta)
     t_req = 70.0 if eta >= 0.5 else max(70.0, math.sqrt(34.0 / eta))
     dx_target = min(0.02 if eta <= 64.0 else 0.08, sigma / 6.0, 2.0 * math.pi / t_req)
+    if dx_target == 0.0:
+        raise InversionError(f"W_{{{j},{gamma}}} needs a t-grid past the float range")
     n = 1 << max(10, math.ceil(math.log2((hi - lo) / dx_target)))
     return eta, lo, hi, n
 
@@ -550,81 +555,6 @@ def _wjg_curve(j: int, gamma: float) -> CdfCurve:
     eta, lo, hi, n = _wjg_window(j, gamma)
     return invert_cf_curve(lambda t: cf_Wjgamma(j, gamma, t),
                            lambda phi, t: _double_wjg(eta, phi, t), lo, hi, n)
-
-
-class _Slot(NamedTuple):
-    x0: float
-    dx: float
-    offset: int  # first node in the family's arrays
-    nodes: int
-    error: float
-
-
-class _Family:
-    """The W_{j,gamma} curves of one gamma, end to end in one cdf and one
-    density array, with one slot record per curve and the slots' fields as
-    small arrays sorted by j, for the mixture's per-term lookups."""
-
-    def __init__(self, gamma: float):
-        self.gamma = gamma
-        self.slots: dict = {}
-        self.cdf = self.density = np.empty(0)
-        self._index()
-
-    def _index(self):
-        js = sorted(self.slots)
-        slots = [self.slots[j] for j in js]
-        self.j = np.array(js, dtype=np.int64)
-        self.x0 = np.array([s.x0 for s in slots])
-        self.dx = np.array([s.dx for s in slots])
-        self.offset = np.array([s.offset for s in slots], dtype=np.int64)
-        self.nodes = np.array([s.nodes for s in slots], dtype=np.int64)
-
-    def hold(self, js) -> None:
-        """Build the curves of js the family lacks into one grown arena: each
-        slot is sized from the curve's window, and each build is written
-        into its slot, so no curve is held twice.  The old arena is copied
-        and let go before the first build, and the largest curve is built
-        first: while it runs, the new slots are still untouched pages.  If
-        a build fails, the arena keeps the curves built before it and is
-        cut back to them."""
-        missing = [j for j in dict.fromkeys(js) if j not in self.slots]
-        if not missing:
-            return
-        sizes = []
-        for j in missing:
-            n = _wjg_window(j, self.gamma)[3]
-            sizes.append(-(-n // _node_stride(n)))
-        sizes, missing = zip(*sorted(zip(sizes, missing), reverse=True))
-        start = self.cdf.size
-        cdf = np.empty(start + sum(sizes))
-        density = np.empty_like(cdf)
-        cdf[:start], density[:start] = self.cdf, self.density
-        self.cdf, self.density = cdf, density
-        try:
-            for j, size in zip(missing, sizes):
-                curve = _wjg_curve(j, self.gamma)
-                cdf[start : start + size] = curve.cdf  # a size mismatch raises here
-                density[start : start + size] = curve.density
-                self.slots[j] = _Slot(curve.x0, curve.dx, start, size, curve.error)
-                start += size
-        finally:
-            if start < cdf.size:
-                self.cdf, self.density = cdf[:start].copy(), density[:start].copy()
-            self.cdf.flags.writeable = self.density.flags.writeable = False
-            self._index()
-
-    def curve(self, j: int) -> CdfCurve:
-        """The curve of j, built first if the family lacks it, as views of its slot."""
-        self.hold((j,))
-        s = self.slots[j]
-        part = slice(s.offset, s.offset + s.nodes)
-        return CdfCurve(s.x0, s.dx, self.cdf[part], self.density[part], s.error)
-
-
-@functools.lru_cache(maxsize=_FAMILY_CACHE_SIZE)
-def _wjg_family(gamma: float) -> _Family:
-    return _Family(gamma)
 
 
 def wgamma_cdf_curve(gamma: float, hi: float = 24576.0) -> CdfCurve:
@@ -676,17 +606,14 @@ _COLLAPSE_X_MAX = 4096.0  # the collapse window never reaches beyond this x
 _R_TERMS = 399  # most Poisson counts m a mixture level sums
 _WEIGHT_TOL = 1e-10  # levels with p_j below this are left out
 _LOG_FACT = np.array([math.lgamma(m + 1.0) for m in range(1, _R_TERMS + 1)])
-_TABLE_CACHE_SIZE = 64
-# elements of one (points x terms) evaluation block: each of eval's dozen
-# temporaries then stays in cache (2^18 made 200k-point queries 1.7x slower)
-_EVAL_CHUNK = 1 << 14
+_SEGMENT_CACHE_SIZE = 64
 
 
-def _collapse_cut(gamma: float, x_hi: float) -> int:
+def _collapse_cut(gamma: float, x_hi):
     # components with eta_s >= (range + 40) look identical below x_hi up to
-    # the explicit no-big-jump factor, so curves above s are never built
-    need = gamma * (x_hi + 104.0)
-    return max(2, math.ceil(math.log2(need)) + 1)
+    # the explicit no-big-jump factor, so curves above s are never built;
+    # ceil(log2(need)), exactly, is the binary exponent of the float below it
+    return np.frexp(np.nextafter(gamma * (x_hi + 104.0), 0.0))[1] + 1
 
 
 class _TermTable(NamedTuple):
@@ -694,12 +621,10 @@ class _TermTable(NamedTuple):
     jj: np.ndarray  # index j of the conditional curve W_{j,gamma}
     shifts: np.ndarray
     weights: np.ndarray
-    curves: tuple  # the distinct jj, ascending
     skipped: float  # mixture weight of the terms left out
     deficit: float  # weight the collapse factors take off above the window
 
 
-@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _term_table(gamma: float, star: bool, s_cut: int) -> _TermTable:
     # terms p_j r_j(m) for the level j of the maximum and its Poisson count m;
     # conditional curve j-1, shifted by (m-1) 2^j/gamma (m 2^j/gamma untrimmed).
@@ -734,93 +659,147 @@ def _term_table(gamma: float, star: bool, s_cut: int) -> _TermTable:
         used += pj
     jj, shifts, weights = (np.concatenate(f) for f in zip(*levels))
     kept = math.fsum(np.concatenate(nominal))
-    return _TermTable(jj, shifts, weights, tuple(dict.fromkeys(jj.tolist())),
-                      max(0.0, 1.0 - kept), kept - math.fsum(weights))
+    return _TermTable(jj, shifts, weights, max(0.0, 1.0 - kept), kept - math.fsum(weights))
 
 
-def _mixture_table(gamma: float, xs: np.ndarray, star: bool):
-    """The term table for the points xs, the family that holds its curves,
-    and the largest finite point."""
+@functools.lru_cache(maxsize=_SEGMENT_CACHE_SIZE)
+def _segment(gamma: float, star: bool, cut: int, far: bool) -> CdfCurve:
+    """The mixture of one collapse cut on the lattice x_i = i h, as a curve
+    with one error per node interval.
+
+    h is 2^-6/gamma on the bulk segment (the cut of x = 64, and every x
+    below) and doubles with each cut above, which covers only its own x
+    range, and once more on the far segment (the top cut above x = 4096, up
+    to the lattice node at or past the cut curve's window top).  Every shift
+    the segment reads is a whole number of steps: each curve is resampled
+    once (value and slope from the Hermite kernel) and each term adds one
+    weighted slice, or its weight, through one cumulative sum, at the nodes
+    right of its window.  The error adds the weight the table leaves out,
+    each curve's error times its weight, and the largest gap, over the 64
+    intervals on either side, between the Hermite value at a midpoint and
+    the cubic through the four nearest nodes; on the far segment it is one
+    constant that also holds the collapse deficit and 1 - G*(far end).
+    """
+    table = _term_table(gamma, star, cut)
+    # the largest curve first, so the peak memory of its build comes before
+    # the smaller curves are held
+    curves = {jj: wjg_cdf_curve(jj, gamma) for jj in sorted(set(table.jj.tolist()), reverse=True)}
+    bulk = int(_collapse_cut(gamma, 64.0))
+    h = math.ldexp(1.0, cut - bulk + far - 6) / gamma
+    top = {jj: c.x0 + c.dx * (len(c.cdf) - 1) for jj, c in curves.items()}
+    first = np.array([curves[jj].x0 for jj in table.jj]) + table.shifts
+    last = np.array([top[jj] for jj in table.jj]) + table.shifts
+    # the x whose cut is cut: (2^(cut-2)/gamma - 104, 2^(cut-1)/gamma - 104]
+    x_lo, x_hi = (math.ldexp(1.0, cut + d) / gamma - 104.0 for d in (-2, -1))
+    if cut == bulk:
+        x_lo = float(first.min())
+    x_lo, x_hi = (_COLLAPSE_X_MAX, top[cut]) if far else (x_lo, min(x_hi, _COLLAPSE_X_MAX))
+    i0 = math.floor(x_lo / h) - 1
+    n = math.ceil(x_hi / h) + 2 - i0
+    cdf, density, rise = np.zeros(n), np.zeros(n), np.zeros(n + 1)
+    rise[0] = table.weights[last <= i0 * h].sum()
+    live = (last > i0 * h) & (first < (i0 + n - 1) * h)
+    steps = table.shifts[live] / h
+    shift = np.rint(steps)
+    assert np.all(np.abs(steps - shift) < 1e-6), "a mixture shift is off the lattice"
+    # the terms of one curve and shift (the collapsed levels' m = 1) add up first
+    pairs, slot = np.unique(np.stack([table.jj[live], shift.astype(np.int64)]), axis=1,
+                            return_inverse=True)
+    weights = np.bincount(slot.ravel(), table.weights[live])
+    for jj in dict.fromkeys(pairs[0].tolist()):
+        c = curves[jj]
+        mine = pairs[0] == jj
+        s = pairs[1][mine]
+        # lattice indices q where the curve is read, and q_one, from which on it reads 1
+        q_one = math.floor(top[jj] / h) + 1
+        qa = max(math.floor(c.x0 / h), i0 - int(s.max()))
+        qb = min(q_one, i0 + n - 1 - int(s.min()))
+        f, g = _hermite(h * np.arange(qa, qb + 1), c.x0, c.dx, len(c.cdf), c.cdf, c.density)
+        for st, w in zip(s.tolist(), weights[mine].tolist()):
+            a = qa - i0 + st  # the node that reads f[0]
+            lo, hi = max(a, 0), min(a + f.size, n)
+            if lo < hi:
+                cdf[lo:hi] += w * f[lo - a : hi - a]
+                density[lo:hi] += w * g[lo - a : hi - a]
+            if qb == q_one:
+                rise[min(max(qb + 1 - i0 + st, 0), n)] += w
+    cdf += np.cumsum(rise[:n])
+    f0, f1 = cdf[1:-2], cdf[2:-1]
+    gap = np.abs(0.5 * (f0 + f1) + 0.125 * h * (density[1:-2] - density[2:-1])
+                 - (9.0 * (f0 + f1) - cdf[:-3] - cdf[3:]) / 16.0)
+    interp = np.pad(gap, 65, mode="edge")
+    # interp[i] = max(gap[i - 64 : i + 65]): each pass widens the window by w
+    for w in (1, 1, 2, 4, 8, 16, 32, 64):
+        interp = np.maximum(interp[:-w], interp[w:])
+    parts = table.skipped + math.fsum(float(table.weights[table.jj == jj].sum()) * c.error
+                                      for jj, c in curves.items())
+    error = parts + interp
+    if far:  # node n - 2 is the far end
+        error = np.full(n - 1, error.max() + table.deficit + 1.0 - cdf[-2])
+    return CdfCurve(i0 * h, h, cdf, density, error)
+
+
+def _by_segment(gamma: float, x, star: bool, read: Callable, at_inf: float):
+    """read(segment, points) at each finite point of x, from the segment of
+    its own cut, _collapse_cut(gamma, x within [64, 4096]), or the far one
+    above 4096, capped at the segment's end; at_inf at +inf, 0 at -inf."""
     _check_merging_gamma(gamma)
+    scalar = np.ndim(x) == 0
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
     if np.isnan(xs).any():
         raise ValueError("x must not be nan")
-    finite = xs[np.isfinite(xs)]
-    finite_hi = float(finite.max()) if finite.size else 0.0
-    x_hi = min(max(finite_hi, 64.0), _COLLAPSE_X_MAX)
-    table = _term_table(float(gamma), star, _collapse_cut(gamma, x_hi))
-    family = _wjg_family(float(gamma))
-    family.hold(table.curves)
-    return table, family, finite_hi
+    key = 2 * _collapse_cut(gamma, np.minimum(np.maximum(xs, 64.0), _COLLAPSE_X_MAX))
+    key += xs > _COLLAPSE_X_MAX
+    finite = np.isfinite(xs)
+    out = np.where(xs == np.inf, at_inf, 0.0)
+    keys = sorted(set(key[finite].tolist()), reverse=True)  # the cut with most curves first
+    for k in keys:
+        where = finite & (key == k) if len(keys) > 1 else finite
+        segment = _segment(float(gamma), star, k >> 1, bool(k & 1))
+        # a segment ends at node n - 2, past every x of its cut but the far one's
+        end = segment.x0 + segment.dx * (len(segment.cdf) - 2)
+        out[where] = read(segment, np.minimum(xs[where], end))
+    return float(out[0]) if scalar else out
 
 
-def _mixture_cdf(gamma: float, xs: np.ndarray, star: bool) -> np.ndarray:
-    """Mixture CDF at xs from the cached term table, in one pass over all its
-    terms: each term's curve is looked up in the gamma family (its x0, dx,
-    first node and node count), and one Hermite evaluation per (row chunk x
-    terms) block of at most _EVAL_CHUNK elements is summed with the weights.
-
-    The table holds curve indices and the family holds the curves, so the
-    family cache stays their only owner.  Levels with p_j < 1e-10 are
-    skipped; a level's counts m stop at cumulative weight 1 - 1e-12 (at most
-    399); curves above the collapse cut (set by the largest finite x, within
-    4096) are the cut's curve times the no-big-jump factor.
-    """
-    table, family, finite_hi = _mixture_table(gamma, xs, star)
-    c = np.searchsorted(family.j, table.jj)  # each term's curve in the family arrays
-    # a term shifted past every x evaluates to exactly 0
-    live = finite_hi - table.shifts >= family.x0[c]
-    c, shifts, weights = c[live], table.shifts[live], table.weights[live]
-    x0, dx, nodes, offset = family.x0[c], family.dx[c], family.nodes[c], family.offset[c]
-    acc = np.zeros_like(xs)
-    rows = max(1, _EVAL_CHUNK // max(1, shifts.size))
-    for a in range(0, xs.size, rows):
-        acc[a : a + rows] = _hermite(xs[a : a + rows, None] - shifts, x0, dx, nodes, offset,
-                                     family.cdf, family.density) @ weights
-    acc[xs == np.inf] = 1.0
-    acc[xs == -np.inf] = 0.0
-    return acc
+def _error_at(segment: CdfCurve, x: np.ndarray) -> np.ndarray:
+    # the error of the node interval that holds each x
+    pos = np.floor((x - segment.x0) / segment.dx)
+    return segment.error[np.clip(pos, 0, len(segment.cdf) - 2).astype(np.int64)]
 
 
 def gstar_cdf(gamma: float, x):
     """CDF of the trimmed merging limit: the double mixture of conditional
     curves G_{j-1} shifted by (m-1) 2^j/gamma with weights p_j r_j(m).
 
-    The terms come from a table cached per (gamma, collapse cut);
-    gstar_cdf_error gives the matching error estimate.  Exactly 0 at -inf and
-    1 at +inf; nan raises ValueError.
+    x reads the term table of its own collapse cut (x within [64, 4096])
+    off that cut's cached lattice segment, so a value depends on (gamma, x)
+    alone: a scalar and any grid through x give the same bits.  G* reads
+    flat beyond the far end, the top of the top cut curve's window.
+    gstar_cdf_error gives the matching error estimate.  Exactly 0 at -inf
+    and 1 at +inf; nan raises ValueError.
     """
-    scalar = np.ndim(x) == 0
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    out = _mixture_cdf(gamma, xs, star=True)
-    return float(out[0]) if scalar else out
+    return _by_segment(gamma, x, True, CdfCurve.eval, 1.0)
 
 
 def gstar_cdf_error(gamma: float, x):
     """Error estimate of gstar_cdf(gamma, x) at each x.
 
-    The sum of the mixture weight the term table leaves out (skipped levels,
-    count tails, negligible terms), the ``error`` of each conditional curve it
-    reads times that curve's mixture weight, and, at x above the collapse
-    window, the weight the collapse factors take off.  0 at +-inf, where G*
-    is exact.
+    The sum of the mixture weight the term table of x's cut leaves out
+    (skipped levels, count tails, negligible terms), the ``error`` of each
+    conditional curve it reads times that curve's mixture weight, and the
+    interpolation error of x's segment near x.  Above x = 4096 it is one
+    constant, which adds the weight the collapse factors take off and
+    1 - G* at the far end.  0 at +-inf, where G* is exact.
     """
-    scalar = np.ndim(x) == 0
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    table, family, _ = _mixture_table(gamma, xs, True)
-    curves = math.fsum(float(table.weights[table.jj == jj].sum()) * family.slots[jj].error
-                       for jj in table.curves)
-    out = table.skipped + curves + np.where(xs > _COLLAPSE_X_MAX, table.deficit, 0.0)
-    out[np.isinf(xs)] = 0.0
-    return float(out[0]) if scalar else out
+    return _by_segment(gamma, x, True, _error_at, 0.0)
 
 
 def gmix_cdf(gamma: float, x):
-    """Untrimmed limit CDF assembled from the same mixture (shifts m 2^j/gamma);
-    cross-checks the direct cf_Wgamma inversion."""
-    scalar = np.ndim(x) == 0
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    out = _mixture_cdf(gamma, xs, star=False)
-    return float(out[0]) if scalar else out
+    """Untrimmed limit CDF assembled from the same mixture (shifts m 2^j/gamma),
+    read the same way as gstar_cdf; cross-checks the direct cf_Wgamma
+    inversion."""
+    return _by_segment(gamma, x, False, CdfCurve.eval, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -935,8 +914,8 @@ def y_tail_parts(r: int, gamma: float, x: float) -> dict:
     0 (x above about twice the top).  The tail the FFT folds back near the
     top (6e-5 at gamma = 1) is not in the curve error.
     """
-    if r < 0:
-        raise ValueError("r must be >= 0")
+    if not 0 <= r < 1023:
+        raise ValueError(f"r must lie in [0, 1022], got {r}")
     if not 0.0 < gamma < math.inf:
         raise ValueError("gamma must be positive and finite")
     gx = gamma * x
@@ -947,7 +926,10 @@ def y_tail_parts(r: int, gamma: float, x: float) -> dict:
     g = 1.0 if g == 0.5 else g
     curve = wgamma_cdf_curve(g)
     # psi(gx)/x = gamma 2^-fl: the power of x never forms, so nothing overflows
-    leading = math.ldexp(gamma ** (r + 1) / math.factorial(r + 1), -(r + 1) * fl)
+    try:
+        leading = math.ldexp(gamma ** (r + 1) / math.factorial(r + 1), -(r + 1) * fl)
+    except OverflowError:  # (r + 1)! is past the float range: round the exact ratio once
+        leading = float(Fraction(gamma) ** (r + 1) / (math.factorial(r + 1) << ((r + 1) * fl)))
     # W_gamma > x(1 - 2^(ell - frac)) - A + xi; x - 2^(fl + ell)/gamma is halved
     # and doubled exactly so that 2^(fl + ell) cannot overflow near the float max
     shift = xi_and_f(g)[0] - a_const(r, gamma)

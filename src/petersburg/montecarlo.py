@@ -235,6 +235,8 @@ def histogram_fig1(
     One draw pass feeds both: single big payoffs put the untrimmed sum near
     integer log2 values, giving disjoint side lobes that trimming removes.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     lo, hi = 7.0, 32.0
     if not 0.0 < bin_width <= hi - lo:
         raise ValueError(f"bin_width must lie in (0, {hi - lo}], got {bin_width}")

@@ -78,7 +78,10 @@ class GameParams:
         """Payoff of level k >= 1."""
         if self.is_classical:
             return math.ldexp(1.0, k)
-        return self.q ** (-k / self.alpha)
+        try:
+            return self.q ** (-k / self.alpha)
+        except OverflowError:
+            raise ValueError(f"the payoff of level {k} is past the float range") from None
 
     def level_prob(self, k: int) -> float:
         """P{K = k} = q^(k-1) * p."""
@@ -117,12 +120,20 @@ def frac_log2(x) -> float:
     return math.log2(psi(x))
 
 
+def _log_inv_q(params: GameParams) -> float:
+    """-log q, refused by name where q = 1 - p rounds to 1."""
+    log_inv_q = -math.log(params.q)
+    if log_inv_q == 0.0:
+        raise ValueError(f"q = 1 - p rounds to 1 at p = {params.p}, so the payoff levels merge")
+    return log_inv_q
+
+
 def _floor_frac_log_general(x: float, params: GameParams) -> tuple[int, float]:
     # floor and fractional part of log_{1/q}(x^alpha), with snapping so that
     # grid points q^(-k/alpha) land on integer index despite float logs.
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x}")
-    t = params.alpha * math.log(x) / -math.log(params.q)
+    t = params.alpha * math.log(x) / _log_inv_q(params)
     r = round(t)
     if abs(t - r) <= _LOG_SNAP * max(1.0, abs(t)):
         t = float(r)
@@ -166,7 +177,7 @@ def quantile(s: float, params: GameParams = CLASSICAL) -> float:
         return math.ldexp(1.0, max(1 - e, 1))
     if s == 0.0:
         return params.payoff(1)
-    t = math.log1p(-s) / math.log(params.q)
+    t = -math.log1p(-s) / _log_inv_q(params)
     r = round(t)
     if abs(t - r) <= _LOG_SNAP * max(1.0, abs(t)):
         t = float(r)

@@ -355,7 +355,9 @@ def test_gstar_cdf_curve(capsys):
     xs = np.array([float(r[0]) for r in rows])
     errs = [float(r[2]) for r in rows]
     assert errs == list(limitlaw.gstar_cdf_error(0.75, xs))
-    assert 1e-10 < errs[0] == errs[1] < errs[2]
+    # below x = 4096 it varies with the interpolation error near x; above, the
+    # collapse deficit and the mass past the far end join in
+    assert 1e-10 < min(errs[:2]) and max(errs[:2]) < errs[2]
 
 
 def test_gstar_cdf_edges(capsys):
@@ -520,18 +522,20 @@ def test_merge_check_frozen_seed(capsys, monkeypatch):
     assert tol < 1e-9
     assert json.loads(out)["ks"] == pytest.approx(0.028105620080889307, rel=0, abs=tol)
 
-    # the run's curves are those of the term tables it looked up
-    tables = []
-    lookup = limitlaw._term_table
+    # the run's curves are those of the term tables of the segments it read,
+    # whether each segment was built here or found in the cache
+    keys = []
+    lookup = limitlaw._segment
 
-    def recording(*args):
-        tables.append(lookup(*args))
-        return tables[-1]
+    def recording(*key):
+        keys.append(key)
+        return lookup(*key)
 
-    monkeypatch.setattr(limitlaw, "_term_table", recording)
+    monkeypatch.setattr(limitlaw, "_segment", recording)
     rc, out, _ = run(capsys, "trimmed-merge-check", "--n", "64", "--reps", "20000", "--seed", "7")
     assert rc == 0
-    used = {jj for table in tables for jj in table.curves}
+    used = {jj for gamma, star, cut, _ in keys
+            for jj in limitlaw._term_table(gamma, star, cut).jj.tolist()}
     assert len(used) >= 10
     tol = 2.0 * max(limitlaw.wjg_cdf_curve(jj, gamma_n(64)).error for jj in used)
     assert tol < 1e-9
@@ -539,18 +543,21 @@ def test_merge_check_frozen_seed(capsys, monkeypatch):
 
 
 def test_trimmed_merge_check_reads_curves_when_warm(capsys, monkeypatch):
-    # the term table holds curve indices and the gamma family holds the
-    # curves: a warm run reads them all from the family and builds none
+    # G* is read off cached segments: a warm run builds no segment, and so
+    # reads no curve and builds none
     argv = ("trimmed-merge-check", "--n", "64", "--reps", "2000", "--seed", "3")
     rc, first, _ = run(capsys, *argv)
     assert rc == 0
+    built = limitlaw._segment.cache_info().misses
 
     def no_build(j, gamma):
         raise AssertionError(f"warm run built W_{{{j},{gamma}}}")
 
     monkeypatch.setattr(limitlaw, "_wjg_curve", no_build)
+    monkeypatch.setattr(limitlaw, "wjg_cdf_curve", no_build)
     rc, second, _ = run(capsys, *argv)
     assert rc == 0 and second == first
+    assert limitlaw._segment.cache_info().misses == built
 
 
 def test_max_check_csv(capsys):
@@ -684,6 +691,22 @@ def test_argparse_failures_exit_2(capsys):
     # gen-tail has no Monte Carlo inner term, so no seed and no sample size
     for flag in (("--seed", "1"), ("--mc-reps", "5")):
         assert run(capsys, "gen-tail", "--n", "10", "--p", "0.3", "--x", "1000", *flag)[0] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    "quantile --u 0.999999999999 --alpha 0.01",
+    "gen-tail --n 3 --x 1e308 --alpha 1.5",
+    "gen-tail --n 3 --x 5 --alpha 1.5 --p 1e-300",
+    "limit-cdf --gamma 1 --j -1020 --x 0",
+    "y-tail --gamma 1 --x 3 --r 400",
+    "max-check --n 4 --j-lo -2000 --j-hi 2 --reps 10 --seed 1",
+    "fig1 --n 0 --seed 1 --reps 10",
+])
+def test_boundary_inputs_exit_without_a_traceback(capsys, argv):
+    # payoffs, weights and factorials past the float range, a p below its
+    # resolution and a zero game count: each is answered or refused by name
+    rc, _, err = run(capsys, *argv.split())
+    assert rc in (0, 2, 3) and "Traceback" not in err, err
 
 
 # the optional flags of every subcommand: a new flag shows up here as a diff

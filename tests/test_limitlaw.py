@@ -451,30 +451,83 @@ def test_gstar_cdf_shape():
     assert vals[-1] > 0.99
 
 
-def _assert_mixtures_match_legacy(gamma, x, tol):
+def _cut_top(gamma, cut):
+    # the largest x whose collapse cut is cut
+    return math.ldexp(1.0, cut - 1) / gamma - 104.0
+
+
+def _legacy_per_cut(gamma, xs, star, tol):
+    # the oracle collapses every point at its query's largest x, so it is
+    # called once per cut group, and both sides collapse at the same cut
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    cuts = limitlaw._collapse_cut(gamma, np.minimum(np.maximum(xs, 64.0), 4096.0))
+    want = np.empty_like(xs)
+    for c in np.unique(cuts):
+        want[cuts == c] = legacy_mixture_cdf(gamma, xs[cuts == c], star, tol)
+    return want
+
+
+def _lattice(gamma, lo, hi):
+    # the nodes in [lo, hi] of every segment: step 2^-6/gamma below the top of
+    # the bulk cut (the cut of x = 64), doubling with each cut above it
+    bulk = int(limitlaw._collapse_cut(gamma, 64.0))
+    top = int(limitlaw._collapse_cut(gamma, 4096.0))
+    nodes = []
+    for cut in range(bulk, top + 1):
+        h = math.ldexp(1.0, cut - bulk - 6) / gamma
+        a = lo if cut == bulk else max(lo, _cut_top(gamma, cut - 1))
+        b = min(hi, _cut_top(gamma, cut))
+        nodes.append(h * np.arange(math.floor(a / h) + 1, math.ceil(b / h)))
+    return np.concatenate(nodes)
+
+
+def _assert_mixtures_match_legacy(gamma, nodes, off, tol):
+    # at lattice nodes the segment sums the same terms as the per-(j, m)
+    # loop, so the floats move by rounding alone; between nodes they move by
+    # the interpolation error, which the segment's error covers
     for star, fn in ((True, gstar_cdf), (False, gmix_cdf)):
-        got = fn(gamma, x)
-        want = legacy_mixture_cdf(gamma, x, star, tol)
-        assert np.ndim(got) == np.ndim(x)
-        assert float(np.max(np.abs(got - want))) <= 1e-13
+        got = fn(gamma, nodes)
+        assert np.ndim(got) == np.ndim(nodes)
+        assert float(np.max(np.abs(got - _legacy_per_cut(gamma, nodes, star, tol)))) <= 1e-13
+        gap = np.abs(fn(gamma, off) - _legacy_per_cut(gamma, off, star, tol))
+        assert np.all(gap <= limitlaw._by_segment(gamma, off, star, limitlaw._error_at, 0.0))
 
 
 @pytest.mark.parametrize("gamma", [0.5, 0.6, 0.75, 0.9, 1.0])
 def test_term_table_matches_legacy_loop(gamma, monkeypatch):
-    # the cached term table sums the same terms as the per-(j, m) loop, only
-    # grouped per conditional curve, so the floats move by rounding alone
-    for x in (1.3, np.linspace(-4.0, 40.0, 2000), np.linspace(-4.0, 1900.0, 2000)):
-        _assert_mixtures_match_legacy(gamma, x, 1e-10)
+    off = np.concatenate([[1.3], np.linspace(-4.0, 40.0, 2000), np.linspace(-4.0, 1900.0, 2000)])
+    _assert_mixtures_match_legacy(gamma, _lattice(gamma, -4.0, 1900.0), off, 1e-10)
     assert gstar_cdf(gamma, np.array([])).shape == (0,)
     assert gmix_cdf(gamma, []).shape == (0,)
-    # a coarser level cut skips more levels the same way in both; the cache
-    # is emptied on both sides so no table of the patched cut outlives the test
+    # a coarser level cut skips more levels the same way in both; the segment
+    # cache is emptied on both sides so no segment of the patched cut
+    # outlives the test
     monkeypatch.setattr(limitlaw, "_WEIGHT_TOL", 1e-6)
-    limitlaw._term_table.cache_clear()
+    limitlaw._segment.cache_clear()
     try:
-        _assert_mixtures_match_legacy(gamma, np.linspace(-2.0, 12.0, 57), 1e-6)
+        _assert_mixtures_match_legacy(gamma, _lattice(gamma, -2.0, 12.0),
+                                      np.linspace(-2.0, 12.0, 57), 1e-6)
     finally:
-        limitlaw._term_table.cache_clear()
+        limitlaw._segment.cache_clear()
+
+
+@pytest.mark.parametrize("gamma", [0.5, 0.6, 0.75, 0.9, 1.0])
+def test_gstar_error_covers_the_interpolation(gamma):
+    # off the lattice, G* is a Hermite read of the segment's nodes; its
+    # error bounds the gap to the per-term loop on [-6, 60] and on every
+    # segment above the bulk
+    bulk = int(limitlaw._collapse_cut(gamma, 64.0))
+    top = int(limitlaw._collapse_cut(gamma, 4096.0))
+    ranges = [(-6.0, 60.0)] + [(_cut_top(gamma, c - 1),
+                                min(_cut_top(gamma, c), 4096.0))
+                               for c in range(bulk + 1, top + 1)]
+    rng = np.random.default_rng(5)
+    for lo, hi in ranges:
+        xs = rng.uniform(lo, hi, 300)
+        gap = np.abs(gstar_cdf(gamma, xs) - _legacy_per_cut(gamma, xs, True, 1e-10))
+        ratio = float(np.max(gap / gstar_cdf_error(gamma, xs)))
+        print(f"gamma {gamma} on [{lo:.0f}, {hi:.0f}]: gap/error {ratio:.3f}")
+        assert ratio <= 1.0
 
 
 def test_gstar_edges_warn_nothing():
@@ -513,62 +566,45 @@ def test_curve_caches_are_bounded(monkeypatch):
     # stand-in curves, as many nodes as a real build keeps, keep the sweep
     # cheap; the caches are emptied afterwards so no stand-in outlives the test
     def stub(cf, double, lo, hi, n_points):
-        nodes = -(-n_points // limitlaw._node_stride(n_points))
+        nodes = -(-n_points // max(1, n_points >> 18))
         return CdfCurve(x0=lo, dx=(hi - lo) / nodes, cdf=np.linspace(0.0, 1.0, nodes),
                         density=np.full(nodes, 1.0 / (hi - lo)), error=0.0)
 
     monkeypatch.setattr(limitlaw, "invert_cf_curve", stub)
-    caches = (limitlaw._wjg_family, limitlaw._wgamma_curve, limitlaw._term_table)
+    caches = (limitlaw.wjg_cdf_curve, limitlaw._wgamma_curve, limitlaw._segment)
     try:
-        gammas = np.linspace(0.6, 0.9, 2 * limitlaw._TABLE_CACHE_SIZE)
+        gammas = np.linspace(0.6, 0.9, 2 * limitlaw._SEGMENT_CACHE_SIZE)
         for g in gammas:
             gstar_cdf(float(g), 1.0)
-        for j in range(limitlaw._FAMILY_CACHE_SIZE + 1):
+        for j in range(limitlaw._WJG_CACHE_SIZE + 1):
             wjg_cdf_curve(j % 50, 0.5 + j / 1e4)
         for g in gammas[: limitlaw._WG_CACHE_SIZE + 1]:
             wgamma_cdf_curve(float(g))
         for c in caches:
             info = c.cache_info()
-            assert info.misses > info.maxsize >= info.currsize
-        assert limitlaw._wjg_family.cache_info().currsize == limitlaw._FAMILY_CACHE_SIZE
+            assert info.misses > info.maxsize == info.currsize
     finally:
         for c in caches:
             c.cache_clear()
 
 
+def test_strided_curves_hold_only_their_nodes():
+    # a build above 2^18 points keeps every stride-th node in arrays of its
+    # own, not views of the whole grid
+    curve = wgamma_cdf_curve(1.0, 1e5)
+    for nodes in (curve.cdf, curve.density):
+        assert nodes.size == 1 << 18
+        assert nodes.base is None or nodes.base.size == nodes.size
+
+
 @pytest.mark.parametrize("gamma", [0.6, 0.75, 1.0])
 def test_family_curves_are_the_uncached_builds(gamma):
-    # a curve read from its family's arena is the builder's curve, bit for bit
+    # a cached curve is the builder's curve, bit for bit
     for j in (-20, -5, 0, 8, 14):
         curve, built = wjg_cdf_curve(j, gamma), limitlaw._wjg_curve(j, gamma)
         assert (curve.x0, curve.dx, curve.error) == (built.x0, built.dx, built.error)
         assert np.array_equal(curve.cdf, built.cdf)
         assert np.array_equal(curve.density, built.density)
-        assert np.shares_memory(curve.cdf, limitlaw._wjg_family(gamma).cdf)
-
-
-def test_family_arena_holds_each_curve_once():
-    # a single read, a G* table's batch, then another single read: the arena
-    # grows by exactly the missing curves' nodes each time, never holding a
-    # curve twice, and its slots tile it end to end; a failed build is not
-    # left behind
-    gamma = 0.7071
-    family = limitlaw._wjg_family(gamma)
-    wjg_cdf_curve(2, gamma)
-    gstar_cdf(gamma, np.linspace(-4.0, 40.0, 9))
-    wjg_cdf_curve(-12, gamma)
-    slots = sorted(family.slots.values(), key=lambda s: s.offset)
-    assert len(slots) >= 12
-    assert [s.offset for s in slots] == list(np.cumsum([0] + [s.nodes for s in slots[:-1]]))
-    curves = [wjg_cdf_curve(j, gamma) for j in family.slots]
-    node_bytes = sum(c.cdf.nbytes + c.density.nbytes for c in curves)
-    assert family.cdf.nbytes + family.density.nbytes == node_bytes
-    assert not family.cdf.flags.writeable and not family.density.flags.writeable
-    # a refused build leaves the arena as it was
-    with pytest.raises(InversionError, match="grid points"):
-        wjg_cdf_curve(20, gamma)
-    assert family.cdf.nbytes + family.density.nbytes == node_bytes
-    assert 20 not in family.slots and not family.cdf.flags.writeable
 
 
 def test_curve_eval_keeps_its_bits():
@@ -585,12 +621,16 @@ def test_curve_eval_keeps_its_bits():
 
 @pytest.mark.parametrize("gamma", [0.6, 0.75, 1.0])
 def test_gstar_scalar_and_grid_agree(gamma):
-    # both paths sum the same terms, grouped differently (a scalar query
-    # drops the terms shifted past its x), so they agree to rounding
+    # a value is read off the segment of its own x's cut, so it depends on
+    # (gamma, x) alone: a scalar, a grid and a grid with a far point added
+    # give the same bits
     xs = np.linspace(-4.0, 40.0, 2000)
     grid = gstar_cdf(gamma, xs)
     scalar = np.array([gstar_cdf(gamma, float(x)) for x in xs])
-    assert float(np.max(np.abs(grid - scalar))) <= 1e-15
+    assert np.array_equal(grid, scalar)
+    assert np.array_equal(gstar_cdf(gamma, np.append(xs, 4000.0))[:-1], grid)
+    assert np.array_equal(gstar_cdf_error(gamma, np.append(xs, 4000.0))[:-1],
+                          gstar_cdf_error(gamma, xs))
 
 
 def test_sample_y_deterministic_and_shaped():
