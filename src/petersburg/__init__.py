@@ -1,8 +1,8 @@
 """St. Petersburg sums: exact tails, asymptotics, semistable limit laws, simulation.
 
-The exact, asymptotic and closed-form names load with the package and need
-no numpy.  The limit-law and Monte Carlo names import their modules, and
-numpy with them, on first access.
+The closed-form names load with the package, from stpdist alone.  The exact,
+asymptotic, limit-law and Monte Carlo names import their modules on first
+access; the last two bring numpy with them.
 """
 
 import importlib
@@ -26,26 +26,19 @@ from petersburg.stpdist import (
     truncated_moment,
     xi_and_f,
 )
-from petersburg.exact import (
-    DyadicProb,
-    conv_ratio_curve,
-    enum_oracle,
-    oscillation_curve_fig2,
-    sum_tail_exact,
-    trimmed_tail_exact,
-    two_sum_tail_closed,
-)
-from petersburg.asymptotics import (
-    TailAsymptote,
-    finer_as_rhs,
-    gen_snr_tail_rhs,
-    snr_tail_rhs,
-    subexp_limits,
-    uniform_bound_rhs,
-)
 
 # name -> submodule that defines it, imported on first access (PEP 562)
 _LAZY = {
+    **dict.fromkeys(
+        ("DyadicProb", "conv_ratio_curve", "enum_oracle", "oscillation_curve_fig2",
+         "sum_tail_exact", "trimmed_tail_exact", "two_sum_tail_closed"),
+        "exact",
+    ),
+    **dict.fromkeys(
+        ("TailAsymptote", "finer_as_rhs", "gen_snr_tail_rhs", "snr_tail_rhs", "subexp_limits",
+         "uniform_bound_rhs"),
+        "asymptotics",
+    ),
     **dict.fromkeys(
         ("CdfCurve", "cf_Wgamma", "cf_Wjgamma", "gstar_cdf", "log_cf_f", "p_weight",
          "r_weight", "sample_Y", "y_tail_parts"),

@@ -20,25 +20,7 @@ import json
 import math
 import os
 import sys
-import tempfile
 
-from petersburg.asymptotics import (
-    finer_as_rhs,
-    gen_snr_tail_rhs,
-    ratio_table,
-    snr_tail_rhs,
-    subexp_limits,
-    uniform_bound_rhs,
-)
-from petersburg.exact import (
-    conv_ratio_curve,
-    dyadic_grid,
-    enum_oracle,
-    oscillation_curve_fig2,
-    sum_tail_exact,
-    trimmed_tail_exact,
-    two_sum_tail_closed,
-)
 from petersburg.stpdist import (
     CLASSICAL,
     GameParams,
@@ -60,9 +42,10 @@ from petersburg.stpdist import (
     xi_and_f,
 )
 
-# The exact and closed-form subcommands need none of numpy, limitlaw or
-# montecarlo; handlers that work on arrays import them, so a cold call of
-# any other subcommand never pays their import.
+# Only stpdist loads with this module.  Every handler imports the engine it
+# runs (exact, asymptotics, limitlaw, montecarlo, checks), so a cold call
+# pays for that engine alone, and the closed-form subcommands load neither
+# numpy nor any other engine.
 
 __all__ = ["main"]
 
@@ -102,6 +85,8 @@ def _emit(args, text: str) -> None:
     if out is None:
         sys.stdout.write(text)
         return
+    import tempfile
+
     # temp file in the target directory, renamed on success: a failure
     # partway through a write cannot leave a truncated output file
     d = os.path.dirname(os.path.abspath(out)) or "."
@@ -124,7 +109,19 @@ def _params(args) -> GameParams:
     return GameParams(alpha, p)
 
 
+# the most points a --x-lin or --x-dyadic grid may hold, refused by name
+# before the grid is allocated; the documented examples use at most 65
+_GRID_POINTS_MAX = 1 << 20
+
+
+def _check_grid_points(count: int, flag: str) -> None:
+    if count > _GRID_POINTS_MAX:
+        raise ValueError(f"{flag}: {count} points, above the {_GRID_POINTS_MAX} a grid may hold")
+
+
 def _parse_dyadic(spec: str, flag: str) -> list:
+    from petersburg.exact import dyadic_grid
+
     try:
         m0, m1, ppo = (int(part) for part in spec.split(":"))
     except ValueError:
@@ -133,7 +130,11 @@ def _parse_dyadic(spec: str, flag: str) -> list:
         raise ValueError(f"{flag}: need m0 < m1")
     if ppo < 1:
         raise ValueError(f"{flag}: need at least one point per octave")
-    return dyadic_grid(m0, m1, ppo)
+    _check_grid_points((m1 - m0) * ppo + 1, flag)
+    try:
+        return dyadic_grid(m0, m1, ppo)
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
 
 
 def _parse_lin(spec: str, flag: str):
@@ -148,6 +149,7 @@ def _parse_lin(spec: str, flag: str):
         raise ValueError(f"{flag}: need lo < hi")
     if count < 2:
         raise ValueError(f"{flag}: need count >= 2")
+    _check_grid_points(count, flag)
     return np.linspace(lo, hi, count)
 
 
@@ -189,6 +191,8 @@ def _two_pow_split(x: int):
 
 
 def _cmd_exact_tail(args) -> int:
+    from petersburg.exact import sum_tail_exact, two_sum_tail_closed
+
     dp = sum_tail_exact(args.n, args.x)
     if args.n == 2 and args.x >= 0:
         split = _two_pow_split(args.x)
@@ -202,6 +206,8 @@ def _cmd_exact_tail(args) -> int:
 def _cmd_trimmed_tail(args) -> int:
     bound_flags = (args.normalized_x, args.delta, args.bound_c)
     if any(v is not None for v in bound_flags):
+        from petersburg.asymptotics import uniform_bound_rhs
+
         for flag, v in zip(("--normalized-x", "--delta", "--bound-c"), bound_flags):
             if v is None:
                 raise ValueError(f"{flag} is required together with the other bound flags")
@@ -209,6 +215,8 @@ def _cmd_trimmed_tail(args) -> int:
         _emit(args, _jdump({"n": args.n, "r": args.r, "x": args.normalized_x,
                             "delta": args.delta, "c": args.bound_c, "bound": value}))
         return 0
+    from petersburg.exact import enum_oracle, trimmed_tail_exact
+
     dp = trimmed_tail_exact(args.n, args.r, args.x)
     out = dp.to_json()
     if args.oracle:
@@ -218,6 +226,8 @@ def _cmd_trimmed_tail(args) -> int:
 
 
 def _cmd_conv_ratio(args) -> int:
+    from petersburg.exact import conv_ratio_curve
+
     if args.x_dyadic is not None:
         xs = _parse_dyadic(args.x_dyadic, "--x-dyadic")
     elif args.x:
@@ -230,6 +240,8 @@ def _cmd_conv_ratio(args) -> int:
 
 
 def _cmd_asym_tail(args) -> int:
+    from petersburg.asymptotics import ratio_table, snr_tail_rhs
+
     if args.x_dyadic is not None:
         xs = _parse_dyadic(args.x_dyadic, "--x-dyadic")
         rows = ratio_table(args.n, args.r, xs)
@@ -248,18 +260,24 @@ def _cmd_asym_tail(args) -> int:
 
 
 def _cmd_finer_as(args) -> int:
+    from petersburg.asymptotics import finer_as_rhs
+
     value = finer_as_rhs(args.n, args.r, args.m, args.c)
     _emit(args, _jdump({"n": args.n, "r": args.r, "m": args.m, "c": args.c, "value": value}))
     return 0
 
 
 def _cmd_subexp_limits(args) -> int:
+    from petersburg.asymptotics import subexp_limits
+
     lo, hi = subexp_limits(_params(args))
     _emit(args, _jdump({"alpha": args.alpha, "p": args.p, "liminf": lo, "limsup": hi}))
     return 0
 
 
 def _cmd_gen_tail(args) -> int:
+    from petersburg.asymptotics import gen_snr_tail_rhs
+
     asym = gen_snr_tail_rhs(args.n, args.r, args.x, params=_params(args))
     _emit(args, _jdump({"n": args.n, "r": args.r, "x": args.x, "alpha": args.alpha,
                         "p": args.p, "value": asym.value, "error_estimate": asym.error}))
@@ -440,6 +458,8 @@ def _cmd_fig1(args) -> int:
 
 
 def _cmd_fig2(args) -> int:
+    from petersburg.exact import oscillation_curve_fig2
+
     if args.xmax < 4 or args.xmax & (args.xmax - 1) != 0:
         raise ValueError("--xmax must be a power of two, at least 4")
     m_hi = args.xmax.bit_length() - 1

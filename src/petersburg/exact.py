@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from petersburg.stpdist import CLASSICAL, GameParams, floor_log2
@@ -68,10 +67,13 @@ class DyadicProb:
         return cls(fr.numerator, den.bit_length() - 1)
 
     def as_fraction(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self.num, 1 << self.log2_den)
 
     def __float__(self) -> float:
-        return float(self.as_fraction())
+        # correctly rounded int true division, as float(self.as_fraction())
+        return self.num / (1 << self.log2_den)
 
     def complement(self) -> "DyadicProb":
         return DyadicProb((1 << self.log2_den) - self.num, self.log2_den)
@@ -246,6 +248,7 @@ def enum_oracle(n: int, r: int, x, params: GameParams = CLASSICAL):
         raise ValueError("enumeration is meant for n <= 5")
     if x < 0:
         raise ValueError("x must be >= 0")
+    from fractions import Fraction
 
     if params.is_classical:
         xf = math.floor(x)
@@ -305,6 +308,8 @@ def conv_ratio_curve(xs) -> list:
 
     The ratio is formed in exact rational arithmetic before the final float.
     """
+    from fractions import Fraction
+
     out = []
     for x in xs:
         if x < 2:
@@ -339,9 +344,12 @@ def oscillation_curve_fig2(
 
 
 def dyadic_grid(m0: int, m1: int, per_octave: int) -> list:
-    """Geometric grid 2^(m + i/per_octave) covering octaves m0..m1."""
+    """Geometric grid 2^(m + i/per_octave) covering octaves m0..m1; its top
+    point 2^m1 must be a float, so m1 >= 1024 raises ValueError."""
     if m1 < m0 or per_octave < 1:
         raise ValueError("need m1 >= m0 and per_octave >= 1")
+    if m1 >= 1024:  # 2^1024 = _X_LIMIT is past the float range
+        raise ValueError(f"the octave 2^{m1} lies past the float range: need m1 <= 1023")
     xs = [
         math.ldexp(2.0 ** (i / per_octave), m)
         for m in range(m0, m1)

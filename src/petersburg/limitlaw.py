@@ -370,12 +370,12 @@ def cdf_from_cf(cf: Callable, x: float, tol: float = 1e-10) -> InvertedCdf:
     return InvertedCdf(min(max(val, 0.0), 1.0), err)
 
 
-def _hermite(x, x0, dx, n, cdf: np.ndarray, density: np.ndarray) -> tuple:
+def _hermite(x, x0, dx, n, cdf: np.ndarray, density: np.ndarray, slope: bool = True):
     """Cubic Hermite interpolation at x of the CDF nodes cdf on the grid
-    x0 + k dx, k < n, with density their derivative: (value, slope).  The
-    value is exactly 0 at or left of the first node, 1 at or right of the
-    last, clamped to [0, 1] between; the slope is the cubic's derivative,
-    0 outside the nodes."""
+    x0 + k dx, k < n, with density their derivative: (value, slope), or the
+    value alone when slope is False.  The value is exactly 0 at or left of
+    the first node, 1 at or right of the last, clamped to [0, 1] between; the
+    slope is the cubic's derivative, 0 outside the nodes."""
     # positions one step past either edge clamp the same as any further
     # out, so huge |x| never overflows the arithmetic below; minimum and
     # maximum instead of np.clip, whose call overhead dominates small x
@@ -392,11 +392,12 @@ def _hermite(x, x0, dx, n, cdf: np.ndarray, density: np.ndarray) -> tuple:
     t3 = t2 * t
     u = 3 * t2
     out = (2 * t3 - u + 1) * f0 + (t3 - 2 * t2 + t) * g0 + (-2 * t3 + u) * f1 + (t3 - t2) * g1
-    slope = ((6 * t2 - 6 * t) * (f0 - f1) + (u - 4 * t + 1) * g0 + (u - 2 * t) * g1) / dx
     left, right = pos <= 0.0, pos >= n - 1
-    out = np.where(left, 0.0, np.where(right, 1.0, out))
-    slope = np.where(left | right, 0.0, slope)
-    return np.minimum(np.maximum(out, 0.0), 1.0), slope
+    out = np.minimum(np.maximum(np.where(left, 0.0, np.where(right, 1.0, out)), 0.0), 1.0)
+    if not slope:
+        return out
+    d = ((6 * t2 - 6 * t) * (f0 - f1) + (u - 4 * t + 1) * g0 + (u - 2 * t) * g1) / dx
+    return out, np.where(left | right, 0.0, d)
 
 
 @dataclass
@@ -416,7 +417,7 @@ class CdfCurve:
         interpolation error matches the integration accuracy; clamps to 0/1
         outside the window."""
         return _hermite(np.asarray(x, dtype=float), self.x0, self.dx, len(self.cdf),
-                        self.cdf, self.density)[0]
+                        self.cdf, self.density, slope=False)
 
 
 # |cf| budget of the t-grid: at its top point, and for the bound on the part

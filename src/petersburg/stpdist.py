@@ -12,15 +12,14 @@ The centering a_{n,gamma}, the constant A_{r,gamma}, the digit constant
 xi(gamma) and the Chernoff exponent are scalar sums of psi-type terms and
 live here rather than in limitlaw.  Only the samplers
 use numpy, and they import it when called: the exact and closed-form
-subcommands of the CLI never load it.
+subcommands of the CLI never load it.  The exact rational sums import
+fractions the same way, so a cold `tail` or `chernoff` call loads neither.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
-from fractions import Fraction
 
 __all__ = [
     "GameParams",
@@ -53,18 +52,43 @@ _LOG_SNAP = 1e-12  # relative snap when a log-derived index sits on an integer
 SEED_BLOCK = 65536  # replicates per seed block; fixed so draws never depend on batching
 
 
-@dataclass(frozen=True)
 class GameParams:
-    """Tail exponent alpha in (0, 2) and success probability p in (0, 1)."""
+    """Tail exponent alpha in (0, 2) and success probability p in (0, 1).
 
-    alpha: float = 1.0
-    p: float = 0.5
+    Immutable and hashable, compared by value.  A plain class rather than a
+    frozen dataclass, so that importing this module loads no dataclasses
+    (and with it inspect) on the closed-form CLI paths.
+    """
 
-    def __post_init__(self):
-        if not (0.0 < self.alpha < 2.0):
-            raise ValueError(f"alpha must lie in (0, 2), got {self.alpha}")
-        if not (0.0 < self.p < 1.0):
-            raise ValueError(f"p must lie in (0, 1), got {self.p}")
+    __slots__ = ("alpha", "p")
+
+    def __init__(self, alpha: float = 1.0, p: float = 0.5):
+        if not (0.0 < alpha < 2.0):
+            raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
+        if not (0.0 < p < 1.0):
+            raise ValueError(f"p must lie in (0, 1), got {p}")
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "p", p)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.alpha, self.p) == (other.alpha, other.p)
+
+    def __hash__(self):
+        return hash((self.alpha, self.p))
+
+    def __repr__(self):
+        return f"GameParams(alpha={self.alpha!r}, p={self.p!r})"
+
+    def __reduce__(self):
+        return GameParams, (self.alpha, self.p)
 
     @property
     def q(self) -> float:
@@ -360,6 +384,8 @@ def series_center(r: int, gamma: float, truncation: int) -> float:
     total is rounded once: the result equals fsum over the terms, in work
     logarithmic in N.
     """
+    from fractions import Fraction
+
     inv = 1.0 / gamma
     total = Fraction(0)
     k = r + 1
@@ -423,6 +449,8 @@ def xi_and_f(gamma: float) -> tuple:
     sum_m (ceil(2^m gamma) - 2^m gamma)/(2^m gamma), a finite sum for dyadic
     gamma.  They satisfy f = xi + log2(gamma) - 1 + 1/gamma.
     """
+    from fractions import Fraction
+
     if not (0.5 < gamma <= 1.0):
         raise ValueError("gamma must lie in (1/2, 1]")
     g = Fraction(gamma)  # exact: floats are dyadic rationals

@@ -302,12 +302,36 @@ def _fresh_python(code: str) -> str:
     return res.stdout
 
 
+def _imported(*args) -> set:
+    """Every module that `python -X importtime *args` imports, in a fresh
+    interpreter of its own; the call must exit 0."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(petersburg.__file__)))
+    res = subprocess.run([sys.executable, "-X", "importtime", *args], capture_output=True,
+                         text=True, env=env, check=True)
+    return {line.rsplit("|", 1)[1].strip() for line in res.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+# what the package and its CLI import only for the subcommands that run it
+ON_DEMAND = {"petersburg.exact", "petersburg.asymptotics", "petersburg.limitlaw",
+             "petersburg.montecarlo", "dataclasses", "fractions", "numpy", "scipy"}
+
+
 def test_import_loads_no_scipy():
-    # scipy is imported only by the quadrature oracle, numpy only by the
-    # array subcommands and the modules they load, never on the import path
-    code = ("import sys, petersburg, petersburg.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'numpy')))")
-    assert _fresh_python(code) == "[]\n"
+    # the package and its CLI load stpdist alone; scipy is imported only by
+    # the quadrature oracle, numpy only by the array subcommands
+    assert _imported("-c", "import petersburg, petersburg.cli") & ON_DEMAND == set()
+
+
+@pytest.mark.parametrize("argv,loads", [
+    (["tail", "--x", "100"], set()),
+    (["quantile", "--u", "0.9"], set()),
+    (["chernoff", "--n", "1024", "--j", "1", "--x", "2"], set()),
+    (["exact-tail", "--n", "2", "--x", "6"], {"petersburg.exact"}),
+    (["trimmed-tail", "--n", "5", "--r", "1", "--x", "100"], {"petersburg.exact"}),
+])
+def test_closed_form_calls_load_only_their_engine(argv, loads):
+    assert _imported("-m", "petersburg.cli", *argv) & ON_DEMAND == loads
 
 
 # one argv per subcommand that does no array work
@@ -329,18 +353,12 @@ NUMPY_FREE_ARGVS = [
 
 
 def test_numpy_free_subcommands_never_load_numpy():
-    code = (f"import contextlib, io, json, sys\n"
-            f"from petersburg.cli import main\n"
-            f"for argv in {NUMPY_FREE_ARGVS!r}:\n"
-            f"    with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"        rc = main(argv)\n"
-            f"    print(json.dumps([argv[0], rc, 'numpy' in sys.modules]))\n")
-    rows = [json.loads(line) for line in _fresh_python(code).splitlines()]
-    assert [argv[0] for argv in NUMPY_FREE_ARGVS] == [sub for sub, _, _ in rows]
-    assert {sub for sub, _, _ in rows} == {
+    # one fresh interpreter per argv, so no call inherits another's modules
+    assert {argv[0] for argv in NUMPY_FREE_ARGVS} == {
         "tail", "quantile", "exact-tail", "trimmed-tail", "conv-ratio", "asym-tail", "finer-as",
         "subexp-limits", "centering", "xi", "chernoff", "fig2"}
-    assert all(rc == 0 and not loaded for _, rc, loaded in rows), rows
+    for argv in NUMPY_FREE_ARGVS:
+        assert "numpy" not in _imported("-m", "petersburg.cli", *argv), argv
 
 
 def test_gstar_cdf_curve(capsys):
@@ -444,6 +462,56 @@ def test_readme_examples_print_what_readme_shows():
         tol = 2.0 * limitlaw.wgamma_cdf_curve(ref["gamma"]).error
         assert doc.pop("ks") == pytest.approx(ref.pop("ks"), rel=0, abs=tol)
         assert doc == ref
+
+
+# one cheap argv per subcommand; a subcommand without an entry fails
+# test_every_subcommand_prints_the_same_bytes_in_a_fresh_process.  repro-all
+# is named a config that does not exist: the fresh process still imports
+# every engine through checks before it refuses, and the full run is
+# test_repro_all_quick_config's
+CHEAP_ARGVS = {
+    "tail": "--x 100 --truncate-level 5",
+    "quantile": "--u 0.9 --p 0.3",
+    "exact-tail": "--n 2 --x 6",
+    "trimmed-tail": "--n 5 --r 1 --x 100 --oracle",
+    "conv-ratio": "--x-dyadic 4:6:2",
+    "asym-tail": "--n 8 --r 1 --x-dyadic 4:6:2",
+    "finer-as": "--n 8 --r 1 --m 10 --c 3",
+    "subexp-limits": "--alpha 1.5 --p 0.3",
+    "gen-tail": "--n 3 --x 1000 --p 0.3",
+    "limit-cdf": "--gamma 1 --j 0 --x-lin=-2:6:9",
+    "gstar-cdf": "--gamma 0.75 --x-lin=-1:5:4",
+    "sample-y": "--gamma 1 --truncation 100 --reps 5 --seed 1",
+    "y-tail": "--r 1 --gamma 0.75 --x 300",
+    "centering": "--n 5000 --gamma 0.75 --r 2",
+    "xi": "--gamma 0.75",
+    "chernoff": "--n 1024 --j 1 --x 2",
+    "mc-sim": "--n 4 --r 1 --reps 2000 --seed 2",
+    "merge-check": "--n 64 --reps 2000 --seed 7",
+    "trimmed-merge-check": "--n 64 --reps 2000 --seed 3",
+    "max-check": "--n 64 --j-lo 0 --j-hi 2 --reps 5000 --seed 2",
+    "chernoff-check": "--n 64 --j 1 --reps 5000 --seed 3",
+    "fig1": "--reps 2000 --seed 4",
+    "fig2": "--n 4 --xmax 64",
+    "repro-all": "--config no-such-petersburg.cfg",
+}
+
+
+def test_every_subcommand_prints_the_same_bytes_in_a_fresh_process(capsys, tmp_path,
+                                                                    monkeypatch):
+    # the test process holds every module, so only a fresh process shows a
+    # handler that runs on an import some other code made for it
+    assert set(CHEAP_ARGVS) == set(_subcommands())
+    monkeypatch.chdir(tmp_path)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(petersburg.__file__)))
+    for name, flags in CHEAP_ARGVS.items():
+        argv = [name, *flags.split()]
+        fresh = subprocess.run([sys.executable, "-m", "petersburg.cli", *argv],
+                               capture_output=True, env=env)
+        assert "Traceback" not in fresh.stderr.decode(), argv
+        rc, out, _ = run(capsys, *argv)
+        assert (fresh.returncode, fresh.stdout) == (rc, out.encode()), argv
+        assert rc == (2 if name == "repro-all" else 0), argv
 
 
 def test_centering_closed_form_only_untrimmed(capsys):
@@ -701,12 +769,30 @@ def test_argparse_failures_exit_2(capsys):
     "y-tail --gamma 1 --x 3 --r 400",
     "max-check --n 4 --j-lo -2000 --j-hi 2 --reps 10 --seed 1",
     "fig1 --n 0 --seed 1 --reps 10",
+    "conv-ratio --x-dyadic 4:2000:1",
+    "asym-tail --n 8 --r 1 --x-dyadic 4:1100:1",
+    "mc-sim --n 4 --reps 10 --seed 1 --x-dyadic 4:2000:1",
 ])
 def test_boundary_inputs_exit_without_a_traceback(capsys, argv):
-    # payoffs, weights and factorials past the float range, a p below its
-    # resolution and a zero game count: each is answered or refused by name
+    # payoffs, weights, factorials and grid octaves past the float range, a p
+    # below its resolution and a zero game count: each is answered or refused
+    # by name
     rc, _, err = run(capsys, *argv.split())
     assert rc in (0, 2, 3) and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize("argv,message", [
+    ("gstar-cdf --gamma 1 --x-lin 0:1:100000000", "--x-lin: 100000000 points"),
+    ("limit-cdf --gamma 1 --x-lin 0:1:1048577", "--x-lin: 1048577 points"),
+    ("conv-ratio --x-dyadic 4:1000:100000000000", "--x-dyadic: 99600000000001 points"),
+    ("mc-sim --n 4 --reps 10 --seed 1 --x-dyadic 0:1:1048577", "--x-dyadic: 1048578 points"),
+    ("conv-ratio --x-dyadic 4:2000:1", "--x-dyadic: the octave 2^2000 lies past the float range"),
+])
+def test_oversized_grids_are_refused_before_allocating(capsys, argv, message):
+    start = time.perf_counter()
+    rc, out, err = run(capsys, *argv.split())
+    assert time.perf_counter() - start < 0.1
+    assert rc == 2 and out == "" and message in err, err
 
 
 # the optional flags of every subcommand: a new flag shows up here as a diff

@@ -619,6 +619,18 @@ def test_curve_eval_keeps_its_bits():
             assert np.array_equal(got, want)
 
 
+def test_curve_eval_is_the_hermite_value():
+    # eval skips the slope, but its values are the kernel's bit for bit, on
+    # the W_1 curve and on a G* segment, both window edges among the points
+    cut = int(limitlaw._collapse_cut(1.0, 64.0))
+    for curve in (wgamma_cdf_curve(1.0), limitlaw._segment(1.0, True, cut, False)):
+        n = len(curve.cdf)
+        lo, hi = curve.x0, curve.x0 + curve.dx * (n - 1)
+        xs = np.concatenate([np.linspace(lo - curve.dx, hi + curve.dx, 4001), [lo, hi]])
+        want = limitlaw._hermite(xs, curve.x0, curve.dx, n, curve.cdf, curve.density)[0]
+        assert np.array_equal(curve.eval(xs).view(np.uint64), want.view(np.uint64))
+
+
 @pytest.mark.parametrize("gamma", [0.6, 0.75, 1.0])
 def test_gstar_scalar_and_grid_agree(gamma):
     # a value is read off the segment of its own x's cut, so it depends on

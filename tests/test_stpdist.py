@@ -1,6 +1,8 @@
 """Single-payoff law: tails, quantiles, dyadic helpers, seeded sampling."""
 
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -155,6 +157,27 @@ def test_params_validation():
     assert CLASSICAL.is_classical
     assert not GEN.is_classical
     assert GEN.q == pytest.approx(2.0 / 3.0, rel=1e-15)
+    with pytest.raises(ValueError, match=r"alpha must lie in \(0, 2\), got nan"):
+        GameParams(math.nan)
+    with pytest.raises(ValueError, match=r"p must lie in \(0, 1\), got 0.0"):
+        GameParams(p=0.0)
+
+
+def test_params_are_a_frozen_value():
+    # compared and hashed by (alpha, p), immutable, and they survive copies
+    assert GameParams() == CLASSICAL == GameParams(p=0.5, alpha=1.0)
+    assert GameParams(1.0, 1.0 / 3.0) == GEN != CLASSICAL
+    assert GEN != (1.0, 1.0 / 3.0)
+    assert len({GameParams(), CLASSICAL, GEN, GameParams(1.0, 1.0 / 3.0)}) == 2
+    assert repr(HALF) == "GameParams(alpha=0.5, p=0.5)"
+    for name in ("alpha", "p", "q", "other"):
+        with pytest.raises(AttributeError):
+            setattr(GEN, name, 0.7)
+    with pytest.raises(AttributeError):
+        del GEN.alpha
+    assert (GEN.alpha, GEN.p) == (1.0, 1.0 / 3.0)
+    for twin in (pickle.loads(pickle.dumps(GEN)), copy.copy(GEN), copy.deepcopy(GEN)):
+        assert type(twin) is GameParams and twin == GEN and hash(twin) == hash(GEN)
 
 
 def test_payoff_ladder():
