@@ -7,25 +7,15 @@ access; the last two bring numpy with them.
 
 import importlib
 
-from petersburg.stpdist import (
-    CLASSICAL,
-    GameParams,
-    a_const,
-    cdf,
-    centering,
-    centering_closed,
-    chernoff_bound,
-    chernoff_h,
-    frac_log2,
-    floor_log2,
-    gamma_n,
-    psi,
-    quantile,
-    tail,
-    truncated_cdf,
-    truncated_moment,
-    xi_and_f,
+from petersburg import stpdist as _stpdist
+
+# the closed-form names, bound here from stpdist
+_EAGER = (
+    "CLASSICAL", "GameParams", "a_const", "cdf", "centering", "centering_closed",
+    "chernoff_bound", "chernoff_h", "frac_log2", "floor_log2", "gamma_n", "psi", "quantile",
+    "tail", "truncated_cdf", "truncated_moment", "xi_and_f",
 )
+globals().update((name, getattr(_stpdist, name)) for name in _EAGER)
 
 # name -> submodule that defines it, imported on first access (PEP 562)
 _LAZY = {
@@ -62,52 +52,4 @@ def __getattr__(name):
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CLASSICAL",
-    "GameParams",
-    "cdf",
-    "tail",
-    "quantile",
-    "psi",
-    "frac_log2",
-    "floor_log2",
-    "gamma_n",
-    "truncated_cdf",
-    "truncated_moment",
-    "DyadicProb",
-    "sum_tail_exact",
-    "trimmed_tail_exact",
-    "two_sum_tail_closed",
-    "enum_oracle",
-    "conv_ratio_curve",
-    "TailAsymptote",
-    "snr_tail_rhs",
-    "finer_as_rhs",
-    "subexp_limits",
-    "gen_snr_tail_rhs",
-    "uniform_bound_rhs",
-    "CdfCurve",
-    "p_weight",
-    "r_weight",
-    "log_cf_f",
-    "cf_Wjgamma",
-    "cf_Wgamma",
-    "gstar_cdf",
-    "sample_Y",
-    "y_tail_parts",
-    "a_const",
-    "centering",
-    "centering_closed",
-    "xi_and_f",
-    "chernoff_h",
-    "chernoff_bound",
-    "EmpiricalTail",
-    "SimPlan",
-    "simulate_trimmed",
-    "merge_check",
-    "trimmed_merge_check",
-    "max_pmf_check",
-    "chernoff_check",
-    "histogram_fig1",
-    "oscillation_curve_fig2",
-]
+__all__ = [*_EAGER, *_LAZY]

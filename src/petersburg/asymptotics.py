@@ -16,8 +16,7 @@ from a deterministic grid engine that brackets them and reports the error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 
 from petersburg.stpdist import CLASSICAL, GameParams, _floor_frac_log_general, floor_log2, frac_log2
 from petersburg.exact import sum_tail_exact, trimmed_tail_exact
@@ -33,20 +32,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TailAsymptote:
+class TailAsymptote(namedtuple("TailAsymptote", "leading correction inner_prob inner_backend error",
+                                defaults=(0.0,))):
     """Leading power term and the bracket correction, kept separate.
 
     value = leading * correction, correction in [1, q^-(r+1)]; error bounds
     the absolute error of value.  inner_backend says how the inner probability
     was computed: "exact" (classical), "grid" (generalized) or "none" (no sum).
+    A namedtuple rather than a frozen dataclass, so that importing this module
+    loads no dataclasses (and with it inspect).
     """
 
-    leading: float
-    correction: float
-    inner_prob: float
-    inner_backend: str
-    error: float = 0.0
+    __slots__ = ()
 
     @property
     def value(self) -> float:
@@ -123,6 +120,8 @@ def _gen_sum_tail(m: int, t: float, params: GameParams) -> tuple:
     Exact rational indices never split a payoff on a cell edge, and summing
     mass as it passes, not as 1 minus the rest, keeps small tails accurate.
     """
+    from fractions import Fraction
+
     import numpy as np
 
     cells, probs, k = [], [], 1
@@ -204,6 +203,8 @@ def _exact_ratio(n: int, r: int, x: float) -> Fraction:
     """P{S_{n,r} > x} over its asymptote, in exact rationals: the tail times
     2^((r+1) fl) over C(n, r+1) (1 + (2^(r+1) - 1) P{S_{n-r-1} > x - 2^fl}),
     fl = floor(log2 x), so neither side underflows however large x is."""
+    from fractions import Fraction
+
     fl = floor_log2(x)
     m = n - r - 1
     inner = sum_tail_exact(m, x - math.ldexp(1.0, fl)).as_fraction() if m else 0

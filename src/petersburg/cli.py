@@ -1,10 +1,13 @@
 """Command-line front end.
 
 One subcommand per family of operations, JSON for scalars and exact
-rationals, CSV for curves.  Output is a pure function of the flags: every
-stochastic subcommand requires --seed, and every seed reaches the draws
-through stpdist.seed_blocks, so a draw depends only on (seed, replicate
-index).
+rationals, CSV for curves.  Each handler returns its answer (a dict, a
+(header, rows) pair or text) and main prints it.  A subcommand's grid flags
+(--x, --x-lin, --x-dyadic) form one mutually exclusive group, and flags of
+two modes given together are refused, so no given flag is dropped.  Output
+is a pure function of the flags: every stochastic subcommand requires
+--seed, and every seed reaches the draws through stpdist.seed_blocks, so a
+draw depends only on (seed, replicate index).
 
 Exit codes: 0 success, 2 invalid flag value (the message names the flag),
 3 a limit-law curve cannot answer (its inversion failed, or a W_gamma point
@@ -80,8 +83,17 @@ def _cell(v) -> str:
     return str(v)
 
 
-def _emit(args, text: str) -> None:
-    out = getattr(args, "out", None)
+def _render(answer) -> str:
+    """A handler's answer as text: strict JSON for a dict, CSV for a
+    (header, rows) pair, text as it stands."""
+    if isinstance(answer, dict):
+        return _jdump(answer)
+    if isinstance(answer, str):
+        return answer
+    return _csv(*answer)
+
+
+def _emit(text: str, out) -> None:
     if out is None:
         sys.stdout.write(text)
         return
@@ -102,12 +114,18 @@ def _emit(args, text: str) -> None:
 
 
 def _params(args) -> GameParams:
-    alpha = getattr(args, "alpha", 1.0)
-    p = getattr(args, "p", 0.5)
-    if alpha == 1.0 and p == 0.5:
+    if args.alpha == 1.0 and args.p == 0.5:
         return CLASSICAL
-    return GameParams(alpha, p)
+    return GameParams(args.alpha, args.p)
 
+
+def _not_with(flag: str, other: str) -> ValueError:
+    # two flags of different modes, refused in argparse's words for a
+    # mutually exclusive group
+    return ValueError(f"argument {flag}: not allowed with argument {other}")
+
+
+# ------------------------------------------------------------------- grids
 
 # the most points a --x-lin or --x-dyadic grid may hold, refused by name
 # before the grid is allocated; the documented examples use at most 65
@@ -119,9 +137,10 @@ def _check_grid_points(count: int, flag: str) -> None:
         raise ValueError(f"{flag}: {count} points, above the {_GRID_POINTS_MAX} a grid may hold")
 
 
-def _parse_dyadic(spec: str, flag: str) -> list:
+def _parse_dyadic(spec: str) -> list:
     from petersburg.exact import dyadic_grid
 
+    flag = "--x-dyadic"
     try:
         m0, m1, ppo = (int(part) for part in spec.split(":"))
     except ValueError:
@@ -137,9 +156,10 @@ def _parse_dyadic(spec: str, flag: str) -> list:
         raise ValueError(f"{flag}: {exc}") from None
 
 
-def _parse_lin(spec: str, flag: str):
+def _parse_lin(spec: str):
     import numpy as np
 
+    flag = "--x-lin"
     try:
         lo_s, hi_s, count_s = spec.split(":")
         lo, hi, count = float(lo_s), float(hi_s), int(count_s)
@@ -153,10 +173,33 @@ def _parse_lin(spec: str, flag: str):
     return np.linspace(lo, hi, count)
 
 
+# grid flag -> (its args attribute, the parser of its spec, its help); --x
+# is points as parsed: one float, or the list an append flag collects
+_GRID_FLAGS = {
+    "--x-lin": ("x_lin", _parse_lin,
+                "grid spec lo:hi:count (write --x-lin=-2:6:9 for a negative lo)"),
+    "--x-dyadic": ("x_dyadic", _parse_dyadic, "grid spec m0:m1:points-per-octave"),
+    "--x": ("x", None, None),
+}
+
+
+def _points(args, default=None):
+    """(flag, points) of the grid flag given, else of the subcommand's
+    default (flag, spec).  argparse lets a subcommand take at most one."""
+    for flag, (dest, parse, _) in _GRID_FLAGS.items():
+        spec = getattr(args, dest, None)
+        if spec is not None:
+            break
+    else:
+        flag, spec = default
+        parse = _GRID_FLAGS[flag][1]
+    return flag, spec if parse is None else parse(spec)
+
+
 # ---------------------------------------------------------------- scalar ops
 
 
-def _cmd_tail(args) -> int:
+def _cmd_tail(args) -> dict:
     params = _params(args)
     out = {
         "x": args.x,
@@ -170,15 +213,12 @@ def _cmd_tail(args) -> int:
         out["frac_log2"] = frac_log2(args.x)
     if args.truncate_level is not None:
         out["truncated_cdf"] = truncated_cdf(args.x, args.truncate_level)
-    _emit(args, _jdump(out))
-    return 0
+    return out
 
 
-def _cmd_quantile(args) -> int:
+def _cmd_quantile(args) -> dict:
     params = _params(args)
-    _emit(args, _jdump({"u": args.u, "alpha": params.alpha, "p": params.p,
-                        "value": quantile(args.u, params)}))
-    return 0
+    return {"u": args.u, "alpha": params.alpha, "p": params.p, "value": quantile(args.u, params)}
 
 
 def _two_pow_split(x: int):
@@ -190,7 +230,7 @@ def _two_pow_split(x: int):
     return None
 
 
-def _cmd_exact_tail(args) -> int:
+def _cmd_exact_tail(args) -> dict:
     from petersburg.exact import sum_tail_exact, two_sum_tail_closed
 
     dp = sum_tail_exact(args.n, args.x)
@@ -199,11 +239,10 @@ def _cmd_exact_tail(args) -> int:
         if split is not None:
             if two_sum_tail_closed(*split) != dp:
                 raise RuntimeError("closed two-sum form disagrees with the exact engine")
-    _emit(args, _jdump(dp.to_json()))
-    return 0
+    return dp.to_json()
 
 
-def _cmd_trimmed_tail(args) -> int:
+def _cmd_trimmed_tail(args) -> dict:
     bound_flags = (args.normalized_x, args.delta, args.bound_c)
     if any(v is not None for v in bound_flags):
         from petersburg.asymptotics import uniform_bound_rhs
@@ -211,93 +250,75 @@ def _cmd_trimmed_tail(args) -> int:
         for flag, v in zip(("--normalized-x", "--delta", "--bound-c"), bound_flags):
             if v is None:
                 raise ValueError(f"{flag} is required together with the other bound flags")
+        if args.oracle:
+            raise _not_with("--oracle", "--normalized-x")
         value = uniform_bound_rhs(args.n, args.r, args.normalized_x, args.delta, args.bound_c)
-        _emit(args, _jdump({"n": args.n, "r": args.r, "x": args.normalized_x,
-                            "delta": args.delta, "c": args.bound_c, "bound": value}))
-        return 0
+        return {"n": args.n, "r": args.r, "x": args.normalized_x,
+                "delta": args.delta, "c": args.bound_c, "bound": value}
     from petersburg.exact import enum_oracle, trimmed_tail_exact
 
-    dp = trimmed_tail_exact(args.n, args.r, args.x)
+    x = 0 if args.x is None else args.x
+    dp = trimmed_tail_exact(args.n, args.r, x)
     out = dp.to_json()
     if args.oracle:
-        out["oracle_agrees"] = enum_oracle(args.n, args.r, args.x) == dp
-    _emit(args, _jdump(out))
-    return 0
+        out["oracle_agrees"] = enum_oracle(args.n, args.r, x) == dp
+    return out
 
 
-def _cmd_conv_ratio(args) -> int:
+def _cmd_conv_ratio(args) -> tuple:
     from petersburg.exact import conv_ratio_curve
 
-    if args.x_dyadic is not None:
-        xs = _parse_dyadic(args.x_dyadic, "--x-dyadic")
-    elif args.x:
-        xs = list(args.x)
-    else:
-        raise ValueError("--x or --x-dyadic is required")
-    rows = [(x, v, 0.0, "exact") for x, v in conv_ratio_curve(xs)]
-    _emit(args, _csv("x,value,error_estimate,backend", rows))
-    return 0
+    _, xs = _points(args)
+    return "x,value,error_estimate,backend", [(x, v, 0.0, "exact") for x, v in conv_ratio_curve(xs)]
 
 
-def _cmd_asym_tail(args) -> int:
+def _cmd_asym_tail(args) -> dict | tuple:
     from petersburg.asymptotics import ratio_table, snr_tail_rhs
 
-    if args.x_dyadic is not None:
-        xs = _parse_dyadic(args.x_dyadic, "--x-dyadic")
-        rows = ratio_table(args.n, args.r, xs)
-        _emit(args, _csv("x,frac_log2,exact,asymptote,ratio,backend", rows))
-        return 0
-    if args.x is None:
-        raise ValueError("--x or --x-dyadic is required")
+    flag, xs = _points(args)
+    if flag == "--x-dyadic":
+        return "x,frac_log2,exact,asymptote,ratio,backend", ratio_table(args.n, args.r, xs)
     asym = snr_tail_rhs(args.n, args.r, args.x)
-    _emit(args, _jdump({
+    return {
         "n": args.n, "r": args.r, "x": args.x,
         "leading": asym.leading, "correction": asym.correction,
         "inner_prob": asym.inner_prob, "inner_backend": asym.inner_backend,
         "value": asym.value,
-    }))
-    return 0
+    }
 
 
-def _cmd_finer_as(args) -> int:
+def _cmd_finer_as(args) -> dict:
     from petersburg.asymptotics import finer_as_rhs
 
     value = finer_as_rhs(args.n, args.r, args.m, args.c)
-    _emit(args, _jdump({"n": args.n, "r": args.r, "m": args.m, "c": args.c, "value": value}))
-    return 0
+    return {"n": args.n, "r": args.r, "m": args.m, "c": args.c, "value": value}
 
 
-def _cmd_subexp_limits(args) -> int:
+def _cmd_subexp_limits(args) -> dict:
     from petersburg.asymptotics import subexp_limits
 
     lo, hi = subexp_limits(_params(args))
-    _emit(args, _jdump({"alpha": args.alpha, "p": args.p, "liminf": lo, "limsup": hi}))
-    return 0
+    return {"alpha": args.alpha, "p": args.p, "liminf": lo, "limsup": hi}
 
 
-def _cmd_gen_tail(args) -> int:
+def _cmd_gen_tail(args) -> dict:
     from petersburg.asymptotics import gen_snr_tail_rhs
 
     asym = gen_snr_tail_rhs(args.n, args.r, args.x, params=_params(args))
-    _emit(args, _jdump({"n": args.n, "r": args.r, "x": args.x, "alpha": args.alpha,
-                        "p": args.p, "value": asym.value, "error_estimate": asym.error}))
-    return 0
+    return {"n": args.n, "r": args.r, "x": args.x, "alpha": args.alpha,
+            "p": args.p, "value": asym.value, "error_estimate": asym.error}
 
 
 # ------------------------------------------------------------ limit law ops
 
 
-def _cmd_limit_cdf(args) -> int:
+def _cmd_limit_cdf(args) -> dict | tuple:
     import numpy as np
 
     from petersburg.limitlaw import wgamma_cdf_curve, wjg_cdf_curve
 
-    if args.x_lin is not None:
-        xs = _parse_lin(args.x_lin, "--x-lin")
-    elif args.x is not None:
-        xs = np.array([args.x])
-    else:
-        raise ValueError("--x or --x-lin is required")
+    flag, xs = _points(args)
+    xs = np.atleast_1d(xs)
     if np.isnan(xs).any():
         raise ValueError("x must not be nan")
     if args.j is not None:
@@ -310,34 +331,26 @@ def _cmd_limit_cdf(args) -> int:
         if np.any((xs > top) & np.isfinite(xs)):
             raise InversionError(f"x lies above the W_gamma curve's window top {top!r}")
     vals = curve.eval(xs)
-    if args.x_lin is None:
-        _emit(args, _jdump({"j": args.j, "gamma": args.gamma, "x": args.x,
-                            "value": float(vals[0]), "error_estimate": curve.error,
-                            "backend": "fft"}))
-        return 0
-    rows = [(float(x), float(v), curve.error, "fft") for x, v in zip(xs, vals)]
-    _emit(args, _csv("x,value,error_estimate,backend", rows))
-    return 0
+    if flag == "--x":
+        return {"j": args.j, "gamma": args.gamma, "x": args.x, "value": float(vals[0]),
+                "error_estimate": curve.error, "backend": "fft"}
+    return "x,value,error_estimate,backend", [(float(x), float(v), curve.error, "fft")
+                                              for x, v in zip(xs, vals)]
 
 
-def _cmd_gstar_cdf(args) -> int:
+def _cmd_gstar_cdf(args) -> dict | tuple:
     from petersburg.limitlaw import gstar_cdf, gstar_cdf_error
 
-    if args.x_lin is not None:
-        xs = _parse_lin(args.x_lin, "--x-lin")
-        vals = gstar_cdf(args.gamma, xs)
-        errs = gstar_cdf_error(args.gamma, xs)
-        rows = [(float(x), float(v), float(e), "series") for x, v, e in zip(xs, vals, errs)]
-        _emit(args, _csv("x,value,error_estimate,backend", rows))
-        return 0
-    if args.x is None:
-        raise ValueError("--x or --x-lin is required")
-    value = gstar_cdf(args.gamma, args.x)
-    _emit(args, _jdump({"gamma": args.gamma, "x": args.x, "value": value}))
-    return 0
+    flag, xs = _points(args)
+    if flag == "--x":
+        return {"gamma": args.gamma, "x": args.x, "value": gstar_cdf(args.gamma, args.x)}
+    vals = gstar_cdf(args.gamma, xs)
+    errs = gstar_cdf_error(args.gamma, xs)
+    return "x,value,error_estimate,backend", [(float(x), float(v), float(e), "series")
+                                              for x, v, e in zip(xs, vals, errs)]
 
 
-def _cmd_sample_y(args) -> int:
+def _cmd_sample_y(args) -> str:
     from petersburg.limitlaw import sample_Y
 
     ys = sample_Y(args.r, args.gamma, truncation=args.truncation,
@@ -345,119 +358,102 @@ def _cmd_sample_y(args) -> int:
     head = (f"# sample-y r={args.r} gamma={args.gamma!r} "
             f"truncation={args.truncation} reps={args.reps} seed={args.seed}")
     body = "\n".join(repr(float(v)) for v in ys)
-    _emit(args, f"{head}\ny\n{body}\n")
-    return 0
+    return f"{head}\ny\n{body}\n"
 
 
-def _cmd_y_tail(args) -> int:
+def _cmd_y_tail(args) -> dict:
     from petersburg.limitlaw import y_tail_parts
 
     parts = y_tail_parts(args.r, args.gamma, args.x)
     out = {"r": args.r, "gamma": args.gamma, "x": args.x, "a_const": a_const(args.r, args.gamma)}
     out.update(parts)
     out["error_estimate"] = out.pop("error")
-    _emit(args, _jdump(out))
-    return 0
+    return out
 
 
-def _cmd_centering(args) -> int:
-    out = {"n": args.n, "gamma": args.gamma, "r": args.r,
-           "centering": centering(args.n, args.gamma, args.r),
-           "closed": centering_closed(args.n, args.gamma) if args.r == 0 else None}
-    _emit(args, _jdump(out))
-    return 0
+def _cmd_centering(args) -> dict:
+    return {"n": args.n, "gamma": args.gamma, "r": args.r,
+            "centering": centering(args.n, args.gamma, args.r),
+            "closed": centering_closed(args.n, args.gamma) if args.r == 0 else None}
 
 
-def _cmd_xi(args) -> int:
+def _cmd_xi(args) -> dict:
     xi, f = xi_and_f(args.gamma)
-    _emit(args, _jdump({"gamma": args.gamma, "xi": xi, "f": f}))
-    return 0
+    return {"gamma": args.gamma, "xi": xi, "f": f}
 
 
-def _cmd_chernoff(args) -> int:
+def _cmd_chernoff(args) -> dict:
     bound = chernoff_bound(args.n, args.j, args.gamma, args.x)  # validates every flag
     g = args.gamma if args.gamma is not None else gamma_n(args.n)
     cap = (args.n - 1).bit_length() + args.j
-    _emit(args, _jdump({
+    return {
         "n": args.n, "j": args.j, "gamma": g, "eta": eta_jgamma(args.j, g),
         "x": args.x, "h": chernoff_h(args.x), "bound": bound,
         "cap": cap, "truncated_mean": truncated_moment(1, cap),
-    }))
-    return 0
+    }
 
 
 # ----------------------------------------------------------- simulation ops
 
 
-def _cmd_mc_sim(args) -> int:
+def _cmd_mc_sim(args) -> tuple:
     from petersburg.montecarlo import SimPlan, simulate_trimmed
 
     params = _params(args)
-    if args.x_dyadic is not None and args.x_lin is not None:
-        raise ValueError("--x-dyadic and --x-lin are mutually exclusive")
-    if args.centered:
-        xs = _parse_lin(args.x_lin or "-2:30:65", "--x-lin")
-    elif args.x_lin is not None:
-        xs = _parse_lin(args.x_lin, "--x-lin")
-    else:
-        xs = _parse_dyadic(args.x_dyadic or "4:14:2", "--x-dyadic")
+    if args.centered and args.x_dyadic is not None:
+        raise _not_with("--x-dyadic", "--centered")
+    _, xs = _points(args, ("--x-lin", "-2:30:65") if args.centered else ("--x-dyadic", "4:14:2"))
     plan = SimPlan(n=args.n, r=args.r, reps=args.reps, master_seed=args.seed)
     emp = simulate_trimmed(plan, params, centered=args.centered)
-    rows = [(float(x), emp.tail(x), emp.ci_halfwidth(x), "montecarlo") for x in xs]
-    _emit(args, _csv("x,value,error_estimate,backend", rows))
-    return 0
+    return "x,value,error_estimate,backend", [(float(x), emp.tail(x), emp.ci_halfwidth(x),
+                                               "montecarlo") for x in xs]
 
 
-def _cmd_merge_check(args) -> int:
+def _cmd_merge_check(args) -> dict:
     from petersburg.montecarlo import merge_check
 
-    _emit(args, _jdump(merge_check(args.n, reps=args.reps, seed=args.seed)))
-    return 0
+    return merge_check(args.n, reps=args.reps, seed=args.seed)
 
 
-def _cmd_trimmed_merge_check(args) -> int:
+def _cmd_trimmed_merge_check(args) -> dict:
     from petersburg.montecarlo import trimmed_merge_check
 
-    _emit(args, _jdump(trimmed_merge_check(args.n, reps=args.reps, seed=args.seed)))
-    return 0
+    return trimmed_merge_check(args.n, reps=args.reps, seed=args.seed)
 
 
-def _cmd_max_check(args) -> int:
+def _cmd_max_check(args) -> tuple:
     from petersburg.montecarlo import max_pmf_check
 
     res = max_pmf_check(args.n, j_lo=args.j_lo, j_hi=args.j_hi,
                         reps=args.reps, seed=args.seed)
-    rows = [(row["j"], row["empirical"], row["weight"], row["deviation"], row["sigma"])
-            for row in res["rows"]]
-    _emit(args, _csv("j,empirical,weight,deviation,sigma", rows))
-    return 0
+    return "j,empirical,weight,deviation,sigma", [
+        (row["j"], row["empirical"], row["weight"], row["deviation"], row["sigma"])
+        for row in res["rows"]]
 
 
-def _cmd_chernoff_check(args) -> int:
+def _cmd_chernoff_check(args) -> tuple:
     from petersburg.montecarlo import chernoff_check
 
-    xs = tuple(args.x) if args.x else (0.5, 1.0, 2.0, 4.0)
-    res = chernoff_check(args.n, args.j, xs=xs, reps=args.reps, seed=args.seed)
-    rows = [(row["x"], row["empirical"], row["bound"], row["sigma"], bool(row["violation"]))
-            for row in res["rows"]]
-    _emit(args, _csv("x,empirical,bound,sigma,violation", rows))
-    return 0
+    _, xs = _points(args, ("--x", (0.5, 1.0, 2.0, 4.0)))
+    res = chernoff_check(args.n, args.j, xs=tuple(xs), reps=args.reps, seed=args.seed)
+    return "x,empirical,bound,sigma,violation", [
+        (row["x"], row["empirical"], row["bound"], row["sigma"], bool(row["violation"]))
+        for row in res["rows"]]
 
 
-def _cmd_fig1(args) -> int:
+def _cmd_fig1(args) -> tuple:
     from petersburg.montecarlo import histogram_fig1
 
     res = histogram_fig1(n=args.n, reps=args.reps, seed=args.seed,
                          bin_width=args.bin_width)
     edges = res["edges"]
-    rows = [(float(lo), float(hi), int(cu), int(ct))
-            for lo, hi, cu, ct in zip(edges[:-1], edges[1:],
-                                      res["counts_untrimmed"], res["counts_trimmed"])]
-    _emit(args, _csv("bin_lo,bin_hi,count_untrimmed,count_trimmed", rows))
-    return 0
+    return "bin_lo,bin_hi,count_untrimmed,count_trimmed", [
+        (float(lo), float(hi), int(cu), int(ct))
+        for lo, hi, cu, ct in zip(edges[:-1], edges[1:],
+                                  res["counts_untrimmed"], res["counts_trimmed"])]
 
 
-def _cmd_fig2(args) -> int:
+def _cmd_fig2(args) -> tuple:
     from petersburg.exact import oscillation_curve_fig2
 
     if args.xmax < 4 or args.xmax & (args.xmax - 1) != 0:
@@ -465,10 +461,8 @@ def _cmd_fig2(args) -> int:
     m_hi = args.xmax.bit_length() - 1
     if args.m_lo >= m_hi:
         raise ValueError("--m-lo must sit below log2 of --xmax")
-    rows = oscillation_curve_fig2(n=args.n, m_lo=args.m_lo, m_hi=m_hi,
-                                  per_octave=args.per_octave)
-    _emit(args, _csv("x,value", rows))
-    return 0
+    return "x,value", oscillation_curve_fig2(n=args.n, m_lo=args.m_lo, m_hi=m_hi,
+                                             per_octave=args.per_octave)
 
 
 # -------------------------------------------------------------- repro-all
@@ -500,7 +494,11 @@ def _load_config(path: str) -> dict:
     return merged
 
 
-def _cmd_repro_all(args) -> int:
+class _FailedReport(str):
+    """repro-all's report when a check failed: printed as any text, then exit 1."""
+
+
+def _cmd_repro_all(args) -> str:
     from petersburg.checks import ALL_CHECKS, DEFAULT_CONFIG
 
     config = _load_config(args.config) if args.config else dict(DEFAULT_CONFIG)
@@ -513,16 +511,31 @@ def _cmd_repro_all(args) -> int:
         lines.append(res.line())
         print(res.line(), file=sys.stderr)
     lines.append(f"{len(ALL_CHECKS) - failures}/{len(ALL_CHECKS)} checks passed")
-    _emit(args, "\n".join(lines) + "\n")
-    return 0 if failures == 0 else 1
+    report = "\n".join(lines) + "\n"
+    return _FailedReport(report) if failures else report
 
 
 # ------------------------------------------------------------------ parser
 
 
-def _add_game_flags(sp) -> None:
-    sp.add_argument("--alpha", type=float, default=1.0)
-    sp.add_argument("--p", type=float, default=0.5)
+def _parent(*flags) -> argparse.ArgumentParser:
+    """A parent parser holding (name, spec) flags that several subcommands
+    declare the same way."""
+    parent = argparse.ArgumentParser(add_help=False)
+    for name, spec in flags:
+        parent.add_argument(name, **spec)
+    return parent
+
+
+def _add_grid(sp, *flags, required=True, **x_spec) -> None:
+    """A subcommand's grid flags as one mutually exclusive group: --x (a
+    float, with x_spec) and the spec flags _points reads."""
+    group = sp.add_mutually_exclusive_group(required=required)
+    for flag in flags:
+        if flag == "--x":
+            group.add_argument(flag, type=float, **x_spec)
+        else:
+            group.add_argument(flag, help=_GRID_FLAGS[flag][2])
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -531,193 +544,120 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact, asymptotic, limit-law, and simulated tails of "
                     "St. Petersburg sums and trimmed sums.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", help="write output to this file instead of stdout")
+    common = _parent(("--out", {"help": "write output to this file instead of stdout"}))
+    game = _parent(("--alpha", {"type": float, "default": 1.0}),
+                   ("--p", {"type": float, "default": 0.5}))
+    n = _parent(("--n", {"type": int, "required": True}))
+    r = _parent(("--r", {"type": int, "default": 0}))
+    x = _parent(("--x", {"type": float, "required": True}))
+    gamma = _parent(("--gamma", {"type": float, "required": True}))
+    seed = _parent(("--seed", {"type": int, "required": True}))
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    sp = sub.add_parser("tail", parents=[common], help="tail and cdf of one payoff")
-    sp.add_argument("--x", type=float, required=True)
+    def add(name, func, summary, *parents):
+        sp = sub.add_parser(name, parents=[common, *parents], help=summary)
+        sp.set_defaults(func=func)
+        return sp
+
+    sp = add("tail", _cmd_tail, "tail and cdf of one payoff", x, game)
     sp.add_argument("--truncate-level", type=int, default=None)
-    _add_game_flags(sp)
-    sp.set_defaults(func=_cmd_tail)
 
-    sp = sub.add_parser("quantile", parents=[common], help="payoff quantile")
+    sp = add("quantile", _cmd_quantile, "payoff quantile", game)
     sp.add_argument("--u", type=float, required=True)
-    _add_game_flags(sp)
-    sp.set_defaults(func=_cmd_quantile)
 
-    sp = sub.add_parser("exact-tail", parents=[common],
-                        help="exact dyadic tail of the n-round sum")
-    sp.add_argument("--n", type=int, required=True)
+    sp = add("exact-tail", _cmd_exact_tail, "exact dyadic tail of the n-round sum", n)
     sp.add_argument("--x", type=int, required=True)
-    sp.set_defaults(func=_cmd_exact_tail)
 
-    sp = sub.add_parser("trimmed-tail", parents=[common],
-                        help="exact dyadic tail of the trimmed sum, or its uniform bound")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--r", type=int, default=0)
-    sp.add_argument("--x", type=int, default=0)
+    sp = add("trimmed-tail", _cmd_trimmed_tail,
+             "exact dyadic tail of the trimmed sum, or its uniform bound", n, r)
     sp.add_argument("--oracle", action="store_true",
                     help="cross-check against brute enumeration (n <= 5)")
-    sp.add_argument("--normalized-x", type=float, default=None,
-                    help="evaluate the uniform tail bound at this normalized x")
+    point = sp.add_mutually_exclusive_group()
+    point.add_argument("--x", type=int, default=None, help="exact threshold (default 0)")
+    point.add_argument("--normalized-x", type=float, default=None,
+                       help="evaluate the uniform tail bound at this normalized x")
     sp.add_argument("--delta", type=float, default=None)
     sp.add_argument("--bound-c", type=float, default=None)
-    sp.set_defaults(func=_cmd_trimmed_tail)
 
-    sp = sub.add_parser("conv-ratio", parents=[common],
-                        help="two-sum tail over one-payoff tail")
-    sp.add_argument("--x", type=float, action="append")
-    sp.add_argument("--x-dyadic", help="grid spec m0:m1:points-per-octave")
-    sp.set_defaults(func=_cmd_conv_ratio)
+    sp = add("conv-ratio", _cmd_conv_ratio, "two-sum tail over one-payoff tail")
+    _add_grid(sp, "--x", "--x-dyadic", action="append")
 
-    sp = sub.add_parser("asym-tail", parents=[common],
-                        help="first-order trimmed-tail asymptote, or a ratio table")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--r", type=int, default=0)
-    sp.add_argument("--x", type=float, default=None)
-    sp.add_argument("--x-dyadic", help="grid spec m0:m1:points-per-octave")
-    sp.set_defaults(func=_cmd_asym_tail)
+    sp = add("asym-tail", _cmd_asym_tail,
+             "first-order trimmed-tail asymptote, or a ratio table", n, r)
+    _add_grid(sp, "--x", "--x-dyadic")
 
-    sp = sub.add_parser("finer-as", parents=[common],
-                        help="sharpened asymptote at x = c*2^m")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--r", type=int, default=0)
+    sp = add("finer-as", _cmd_finer_as, "sharpened asymptote at x = c*2^m", n, r)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--c", type=float, required=True)
-    sp.set_defaults(func=_cmd_finer_as)
 
-    sp = sub.add_parser("subexp-limits", parents=[common],
-                        help="liminf and limsup of the subexponential ratio")
-    _add_game_flags(sp)
-    sp.set_defaults(func=_cmd_subexp_limits)
+    add("subexp-limits", _cmd_subexp_limits,
+        "liminf and limsup of the subexponential ratio", game)
 
-    sp = sub.add_parser("gen-tail", parents=[common],
-                        help="trimmed-tail asymptote for generalized games")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--r", type=int, default=0)
-    sp.add_argument("--x", type=float, required=True)
-    _add_game_flags(sp)
-    sp.set_defaults(func=_cmd_gen_tail)
+    add("gen-tail", _cmd_gen_tail, "trimmed-tail asymptote for generalized games", n, r, x, game)
 
-    sp = sub.add_parser("limit-cdf", parents=[common],
-                        help="semistable limit CDF from its FFT curve, at a point or on a grid")
-    sp.add_argument("--gamma", type=float, required=True)
+    sp = add("limit-cdf", _cmd_limit_cdf,
+             "semistable limit CDF from its FFT curve, at a point or on a grid", gamma)
     sp.add_argument("--j", type=int, default=None)
-    sp.add_argument("--x", type=float, default=None)
-    sp.add_argument("--x-lin", help="grid spec lo:hi:count (write --x-lin=-2:6:9 for negative lo)")
-    sp.set_defaults(func=_cmd_limit_cdf)
+    _add_grid(sp, "--x", "--x-lin")
 
-    sp = sub.add_parser("gstar-cdf", parents=[common],
-                        help="limit CDF of the max-trimmed sum")
-    sp.add_argument("--gamma", type=float, required=True)
-    sp.add_argument("--x", type=float, default=None)
-    sp.add_argument("--x-lin", help="grid spec lo:hi:count")
-    sp.set_defaults(func=_cmd_gstar_cdf)
+    sp = add("gstar-cdf", _cmd_gstar_cdf, "limit CDF of the max-trimmed sum", gamma)
+    _add_grid(sp, "--x", "--x-lin")
 
-    sp = sub.add_parser("sample-y", parents=[common],
-                        help="seeded draws from the trimmed limit series")
-    sp.add_argument("--r", type=int, default=0)
-    sp.add_argument("--gamma", type=float, required=True)
+    sp = add("sample-y", _cmd_sample_y, "seeded draws from the trimmed limit series",
+             r, gamma, seed)
     sp.add_argument("--truncation", type=int, default=10_000)
     sp.add_argument("--reps", type=int, default=10_000)
-    sp.add_argument("--seed", type=int, required=True)
-    sp.set_defaults(func=_cmd_sample_y)
 
-    sp = sub.add_parser("y-tail", parents=[common],
-                        help="bracketed tail formula for the limit series")
-    sp.add_argument("--r", type=int, default=0)
-    sp.add_argument("--gamma", type=float, required=True)
-    sp.add_argument("--x", type=float, required=True)
-    sp.set_defaults(func=_cmd_y_tail)
+    add("y-tail", _cmd_y_tail, "bracketed tail formula for the limit series", r, gamma, x)
 
-    sp = sub.add_parser("centering", parents=[common],
-                        help="merging centering constants")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--gamma", type=float, required=True)
-    sp.add_argument("--r", type=int, default=0)
-    sp.set_defaults(func=_cmd_centering)
+    add("centering", _cmd_centering, "merging centering constants", n, gamma, r)
 
-    sp = sub.add_parser("xi", parents=[common],
-                        help="dyadic drift constant and its companion")
-    sp.add_argument("--gamma", type=float, required=True)
-    sp.set_defaults(func=_cmd_xi)
+    add("xi", _cmd_xi, "dyadic drift constant and its companion", gamma)
 
-    sp = sub.add_parser("chernoff", parents=[common],
-                        help="exponential bound for the capped normalized sum")
-    sp.add_argument("--n", type=int, required=True)
+    sp = add("chernoff", _cmd_chernoff, "exponential bound for the capped normalized sum", n, x)
     sp.add_argument("--j", type=int, required=True)
-    sp.add_argument("--x", type=float, required=True)
     sp.add_argument("--gamma", type=float, default=None)
-    sp.set_defaults(func=_cmd_chernoff)
 
-    sp = sub.add_parser("mc-sim", parents=[common],
-                        help="empirical tail of the (trimmed) sum")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--r", type=int, default=0)
+    sp = add("mc-sim", _cmd_mc_sim, "empirical tail of the (trimmed) sum", n, r, seed, game)
     sp.add_argument("--reps", type=int, default=100_000)
-    sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--centered", action="store_true",
                     help="normalize by n and subtract the merging centering")
-    sp.add_argument("--x-dyadic", help="grid spec m0:m1:points-per-octave")
-    sp.add_argument("--x-lin", help="grid spec lo:hi:count")
-    _add_game_flags(sp)
-    sp.set_defaults(func=_cmd_mc_sim)
+    _add_grid(sp, "--x-dyadic", "--x-lin", required=False)
 
-    sp = sub.add_parser("merge-check", parents=[common],
-                        help="KS distance of the normalized sum to its limit")
-    sp.add_argument("--n", type=int, required=True)
+    sp = add("merge-check", _cmd_merge_check,
+             "KS distance of the normalized sum to its limit", n, seed)
     sp.add_argument("--reps", type=int, default=200_000)
-    sp.add_argument("--seed", type=int, required=True)
-    sp.set_defaults(func=_cmd_merge_check)
 
-    sp = sub.add_parser("trimmed-merge-check", parents=[common],
-                        help="KS distance of the max-trimmed sum to its limit")
-    sp.add_argument("--n", type=int, required=True)
+    sp = add("trimmed-merge-check", _cmd_trimmed_merge_check,
+             "KS distance of the max-trimmed sum to its limit", n, seed)
     sp.add_argument("--reps", type=int, default=200_000)
-    sp.add_argument("--seed", type=int, required=True)
-    sp.set_defaults(func=_cmd_trimmed_merge_check)
 
-    sp = sub.add_parser("max-check", parents=[common],
-                        help="empirical pmf of the maximum payoff level")
-    sp.add_argument("--n", type=int, required=True)
+    sp = add("max-check", _cmd_max_check, "empirical pmf of the maximum payoff level", n, seed)
     sp.add_argument("--j-lo", type=int, default=-3)
     sp.add_argument("--j-hi", type=int, default=6)
     sp.add_argument("--reps", type=int, default=1_000_000)
-    sp.add_argument("--seed", type=int, required=True)
-    sp.set_defaults(func=_cmd_max_check)
 
-    sp = sub.add_parser("chernoff-check", parents=[common],
-                        help="empirical exceedance against the exponential bound")
-    sp.add_argument("--n", type=int, required=True)
+    sp = add("chernoff-check", _cmd_chernoff_check,
+             "empirical exceedance against the exponential bound", n, seed)
     sp.add_argument("--j", type=int, required=True)
     sp.add_argument("--x", type=float, action="append")
     sp.add_argument("--reps", type=int, default=1_000_000)
-    sp.add_argument("--seed", type=int, required=True)
-    sp.set_defaults(func=_cmd_chernoff_check)
 
-    sp = sub.add_parser("fig1", parents=[common],
-                        help="log2 histograms of the sum and the max-trimmed sum")
+    sp = add("fig1", _cmd_fig1, "log2 histograms of the sum and the max-trimmed sum", seed)
     sp.add_argument("--n", type=int, default=128)
     sp.add_argument("--reps", type=int, default=1_000_000)
-    sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--bin-width", type=float, default=0.25)
-    sp.set_defaults(func=_cmd_fig1)
 
-    sp = sub.add_parser("fig2", parents=[common],
-                        help="oscillation curve x * P{S_n > x} on a dyadic grid")
+    sp = add("fig2", _cmd_fig2, "oscillation curve x * P{S_n > x} on a dyadic grid")
     sp.add_argument("--n", type=int, default=16)
     sp.add_argument("--xmax", type=int, default=16384)
     sp.add_argument("--m-lo", type=int, default=4)
     sp.add_argument("--per-octave", type=int, default=32)
-    sp.set_defaults(func=_cmd_fig2)
 
-    sp = sub.add_parser("repro-all", parents=[common],
-                        help="run every acceptance check and write a report")
+    sp = add("repro-all", _cmd_repro_all, "run every acceptance check and write a report")
     sp.add_argument("--config", default=None,
                     help="key=value overrides of seeds and sample sizes; "
                          "a pass bound or any other key is rejected by name")
-    sp.set_defaults(func=_cmd_repro_all)
 
     return parser
 
@@ -729,16 +669,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        answer = args.func(args)
+        _emit(_render(answer), args.out)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InversionError as exc:
         print(f"error: curve inversion: {exc}", file=sys.stderr)
         return 3
+    return 1 if isinstance(answer, _FailedReport) else 0
 
 
 if __name__ == "__main__":

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -90,6 +88,8 @@ def _log_cf_f_taylor(eta: float, t: float) -> complex:
     # would wipe out float precision at |t| eta beyond ~25
     if t == 0.0:
         return 0j
+    from fractions import Fraction
+
     tf = Fraction(t)
     ef = Fraction(eta)
     re = Fraction(0)
@@ -400,8 +400,7 @@ def _hermite(x, x0, dx, n, cdf: np.ndarray, density: np.ndarray, slope: bool = T
     return out, np.where(left | right, 0.0, d)
 
 
-@dataclass
-class CdfCurve:
+class CdfCurve(NamedTuple):
     """CDF (and density) on a uniform grid, with a global inversion error
     estimate (a G* segment holds one per node interval); evaluation clamps
     to 0/1 outside the window."""
@@ -930,6 +929,8 @@ def y_tail_parts(r: int, gamma: float, x: float) -> dict:
     try:
         leading = math.ldexp(gamma ** (r + 1) / math.factorial(r + 1), -(r + 1) * fl)
     except OverflowError:  # (r + 1)! is past the float range: round the exact ratio once
+        from fractions import Fraction
+
         leading = float(Fraction(gamma) ** (r + 1) / (math.factorial(r + 1) << ((r + 1) * fl)))
     # W_gamma > x(1 - 2^(ell - frac)) - A + xi; x - 2^(fl + ell)/gamma is halved
     # and doubled exactly so that 2^(fl + ell) cannot overflow near the float max

@@ -362,8 +362,9 @@ def sample_levels(count, rng: np.random.Generator, params: GameParams = CLASSICA
 
     if params.is_classical:
         return payoff_levels(sample_payoffs(count, rng))
+    log_q = -_log_inv_q(params)  # refuses a q that rounds to 1 before any draw
     v = 1.0 - rng.random(count)  # v in (0, 1]
-    k = np.ceil(np.log(v) / math.log(params.q))
+    k = np.ceil(np.log(v) / log_q)
     return np.maximum(k, 1.0).astype(np.int64)
 
 

@@ -329,6 +329,13 @@ def test_import_loads_no_scipy():
     (["chernoff", "--n", "1024", "--j", "1", "--x", "2"], set()),
     (["exact-tail", "--n", "2", "--x", "6"], {"petersburg.exact"}),
     (["trimmed-tail", "--n", "5", "--r", "1", "--x", "100"], {"petersburg.exact"}),
+    (["asym-tail", "--n", "8", "--r", "1", "--x", "300"],
+     {"petersburg.exact", "petersburg.asymptotics"}),
+    (["finer-as", "--n", "8", "--r", "1", "--m", "10", "--c", "3"],
+     {"petersburg.exact", "petersburg.asymptotics"}),
+    (["subexp-limits", "--p", "0.3"], {"petersburg.exact", "petersburg.asymptotics"}),
+    (["gstar-cdf", "--gamma", "0.75", "--x", "2"], {"petersburg.limitlaw", "numpy"}),
+    (["limit-cdf", "--gamma", "1", "--j", "0", "--x", "3"], {"petersburg.limitlaw", "numpy"}),
 ])
 def test_closed_form_calls_load_only_their_engine(argv, loads):
     assert _imported("-m", "petersburg.cli", *argv) & ON_DEMAND == loads
@@ -699,6 +706,9 @@ def test_validation_exits_2(capsys):
         cases.append(((*argv, "--reps", "0", "--seed", "1"), "reps must be >= 1, got 0"))
     cases.append((("mc-sim", "--n", "4", "--reps", "5", "--seed", "-1"),
                   "seed must be a non-negative integer, got -1"))
+    # a p whose q = 1 - p rounds to 1 is refused before any draw, as tail does
+    cases.append((("mc-sim", "--n", "4", "--reps", "5", "--seed", "1", "--p", "1e-300"),
+                  "q = 1 - p rounds to 1 at p = 1e-300"))
     # an output numpy cannot allocate is refused by name before any draw
     cases.append((("sample-y", "--gamma", "1", "--reps", str(1 << 62), "--seed", "1"),
                   f"reps = {1 << 62} draws cannot be allocated"))
@@ -793,6 +803,93 @@ def test_oversized_grids_are_refused_before_allocating(capsys, argv, message):
     rc, out, err = run(capsys, *argv.split())
     assert time.perf_counter() - start < 0.1
     assert rc == 2 and out == "" and message in err, err
+
+
+@pytest.mark.parametrize("argv,later,earlier", [
+    ("conv-ratio --x 5 --x-dyadic 4:5:1", "--x-dyadic", "--x"),
+    ("asym-tail --n 8 --r 1 --x 300 --x-dyadic 4:6:2", "--x-dyadic", "--x"),
+    ("limit-cdf --gamma 1 --j 0 --x 3 --x-lin=0:1:2", "--x-lin", "--x"),
+    ("gstar-cdf --gamma 0.75 --x 2 --x-lin=-1:5:4", "--x-lin", "--x"),
+    ("mc-sim --n 4 --reps 200 --seed 1 --x-dyadic 4:6:1 --x-lin 1:3:5", "--x-lin", "--x-dyadic"),
+    ("mc-sim --n 4 --reps 200 --seed 1 --centered --x-dyadic 4:5:1", "--x-dyadic", "--centered"),
+    ("trimmed-tail --n 5 --r 1 --x 10 --normalized-x 3 --delta 0.3 --bound-c 1",
+     "--normalized-x", "--x"),
+    ("trimmed-tail --n 5 --r 1 --oracle --normalized-x 3 --delta 0.3 --bound-c 1",
+     "--oracle", "--normalized-x"),
+])
+def test_flags_of_two_modes_are_refused_together(capsys, argv, later, earlier):
+    # a subcommand's grid flags are mutually exclusive, and so are the flags
+    # of its two modes: neither is dropped silently
+    rc, out, err = run(capsys, *argv.split())
+    assert rc == 2 and out == ""
+    assert f"error: argument {later}: not allowed with argument {earlier}\n" in err, err
+
+
+@pytest.mark.parametrize("argv", ["conv-ratio", "asym-tail --n 8", "limit-cdf --gamma 1",
+                                  "gstar-cdf --gamma 1"])
+def test_a_grid_is_required(capsys, argv):
+    rc, out, err = run(capsys, *argv.split())
+    assert rc == 2 and out == "" and "one of the arguments --x" in err, err
+
+
+# the int and float values the boundary sweep sets, one flag at a time
+SWEEP_INTS = ("0", "-1", "2000", "-2000")
+SWEEP_FLOATS = ("0", "-1", "nan", "inf", "-inf", "1e308", "-1e308", "1e-300")
+# not tried, since no refusal predicts their work yet: the ints +-2^62 on
+# any flag, and these (subcommand, flag, value)
+SWEEP_NOT_TRIED = {
+    ("gen-tail", "--n", "2000"),  # exits 0 after about 3 s
+}
+
+
+def _flag_pairs(tokens) -> list:
+    """[flag, value or None] pairs of an argv's flags."""
+    pairs = []
+    for tok in tokens:
+        if tok.startswith("--"):
+            flag, eq, value = tok.partition("=")
+            pairs.append([flag, value if eq else None])
+        else:
+            pairs[-1][1] = tok
+    return pairs
+
+
+def _sweep_argvs() -> list:
+    """Each subcommand's CHEAP_ARGVS entry with one int or float flag set to
+    one boundary value as --flag=value, the rest of its mutually exclusive
+    group dropped."""
+    argvs = []
+    for name, sp in _subcommands().items():
+        base = _flag_pairs(CHEAP_ARGVS[name].split())
+        for action in sp._actions:
+            if action.type not in (int, float):
+                continue
+            flag = action.option_strings[-1]
+            rivals = {flag}.union(*(a.option_strings for g in sp._mutually_exclusive_groups
+                                    if action in g._group_actions for a in g._group_actions))
+            kept = [f if v is None else f"{f}={v}" for f, v in base if f not in rivals]
+            for value in SWEEP_INTS if action.type is int else SWEEP_FLOATS:
+                if (name, flag, value) not in SWEEP_NOT_TRIED:
+                    argvs.append([name, *kept, f"{flag}={value}"])
+    return argvs
+
+
+def test_boundary_sweep_derived_from_the_parser(capsys):
+    # every argv exits 0, 2 or 3 without a traceback, and a refusal comes
+    # within 0.1 s; each path is imported and its caches warmed first
+    for name, flags in CHEAP_ARGVS.items():
+        run(capsys, name, *flags.split())
+    argvs = _sweep_argvs()
+    assert len(argvs) >= 450
+    for argv in argvs:
+        start = time.perf_counter()
+        try:
+            rc, _, err = run(capsys, *argv)
+        except Exception as exc:
+            pytest.fail(f"{argv}: {exc!r}")
+        took = time.perf_counter() - start
+        assert rc in (0, 2, 3) and "Traceback" not in err, (argv, rc, err)
+        assert rc == 0 or took < 0.1, (argv, took)
 
 
 # the optional flags of every subcommand: a new flag shows up here as a diff
