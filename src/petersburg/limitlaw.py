@@ -296,77 +296,94 @@ class InvertedCdf(NamedTuple):
     error: float
 
 
+# the most panels a pointwise inversion may cut its range into
+_PANEL_BUDGET = 1 << 14
+
+
+@functools.cache
+def _gauss_legendre() -> tuple:
+    """The 16 and 32 Gauss-Legendre nodes on [-1, 1] in one array, and the
+    two weight vectors; made on the first inversion, since `import numpy`
+    does not load numpy.polynomial."""
+    from numpy.polynomial.legendre import leggauss
+
+    (x16, w16), (x32, w32) = leggauss(16), leggauss(32)
+    return np.concatenate([x16, x32]), w16, w32
+
+
 def cdf_from_cf(cf: Callable, x: float, tol: float = 1e-10) -> InvertedCdf:
     """Pointwise Gil-Pelaez inversion: 1/2 - (1/pi) int_0^inf Im(e^-itx cf)/t dt.
 
-    The oscillatory factor is handled by weighted (QAWO) quadrature; the upper
-    limit T adapts until |cf(T)| < 1e-12.  Raises InversionError when the
-    budget runs out or the quadrature cannot reach the requested tolerance.
-    cf is evaluated once per distinct t.  A non-finite x, or a tol outside
-    (0, inf), raises ValueError before any cf call.
+    cf takes a 1-D float array of t and returns the CF there.  The upper limit
+    T doubles from 64 until |cf(T)| < 1e-12 (at most 131072).  The head
+    (1e-13, 1] is integrated in u = log t over octave panels, the tail [1, T]
+    in t over panels no wider than min(1, 2/|x|).  Each panel is summed at 16
+    and at 32 Gauss-Legendre nodes; G32 is its value, |G32 - G16| its error,
+    and a panel whose error is above its share of tol is bisected, so the
+    errors of the panels kept add up to at most tol.  Each round makes one cf
+    call over the nodes of all panels still open.  A partition of more than
+    2^14 panels raises InversionError, before the quadrature when the tail
+    alone needs that many (large |x|), and so does a reported error above
+    50 max(tol, 1e-8).  A non-finite x, or a tol outside (0, inf), raises
+    ValueError before any cf call.
     """
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x}")
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must lie in (0, inf), got {tol}")
-    # the head panels read Im and Re at each node, and the two QAWO passes
-    # over [cut, T] visit the same nodes
-    cf = functools.lru_cache(maxsize=None)(cf)
     T = 64.0
-    while abs(cf(T)) > 1e-12:
+    while (cf_T := float(abs(cf(np.array([T]))[0]))) > 1e-12:
         T *= 2.0
         if T > 131072.0:
             raise InversionError("cf does not decay; no usable truncation point")
-
-    def im_part(t):
-        return cf(t).imag / t if t != 0.0 else 0.0
-
-    def re_part(t):
-        return cf(t).real / t if t != 0.0 else 0.0
-
-    import warnings
-    from scipy.integrate import IntegrationWarning, quad
-
     # Im(cf)/t can oscillate at every dyadic scale down to t = 0 (semistable
-    # log-periodicity) and grow like log(1/t) for infinite-mean laws; in the
-    # log substitution t = e^u the head becomes a smooth gently-periodic
-    # integrand that plain extrapolating quadrature handles.  [cut, T] goes to
-    # QAWO.  QUADPACK warnings are advisory (the roundoff detector is
-    # conservative); the returned error bounds are what gets checked.
-    cut = min(1.0, T)
+    # log-periodicity) and grow like log(1/t) for infinite-mean laws; in u =
+    # log t the head integrand Im(e^-itx cf(t)) is gently periodic.  On a tail
+    # panel e^-itx turns by at most 2 radians
     eps_t = 1e-13
-
-    def head(u):
-        t = math.exp(u)
-        return (im_part(t) * math.cos(x * t) - re_part(t) * math.sin(x * t)) * t
-
-    u_hi = math.log(cut)
     u_lo = math.log(eps_t)
-    n_panels = math.ceil((u_hi - u_lo) / math.log(2.0))
-    bounds = np.linspace(u_lo, u_hi, n_panels + 1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        v0 = 0.0
-        e0 = (50.0 + abs(x)) * eps_t  # bound on the dropped (0, eps_t] sliver
-        for ua, ub in zip(bounds[:-1], bounds[1:]):
-            pv, pe = quad(head, ua, ub, limit=100, epsabs=tol / (8 * n_panels), epsrel=1e-12)
-            v0 += pv
-            e0 += pe
-        if abs(x) < 1e-12:
-            v1, e1 = quad(im_part, cut, T, limit=800, epsabs=tol / 8, epsrel=1e-12)
-            v2, e2 = 0.0, 0.0
-        else:
-            v1, e1 = quad(
-                im_part, cut, T, weight="cos", wvar=x, limit=800, epsabs=tol / 8, epsrel=1e-12
-            )
-            v2, e2 = quad(
-                re_part, cut, T, weight="sin", wvar=x, limit=800, epsabs=tol / 8, epsrel=1e-12
-            )
-            v2, e2 = -v2, e2
-    err = (e0 + e1 + e2) / math.pi + abs(cf(T))
+    n_head = math.ceil(-u_lo / math.log(2.0))
+    n_tail = (T - 1.0) * max(1.0, abs(x) / 2.0)
+    if n_head + n_tail > _PANEL_BUDGET:
+        raise InversionError(f"x={x} needs {n_tail:.3g} tail panels on [1, {T:g}], "
+                             f"above the {_PANEL_BUDGET}-panel budget")
+    n_tail = math.ceil(n_tail)
+    head_edges = np.linspace(u_lo, 0.0, n_head + 1)
+    tail_edges = np.linspace(1.0, T, n_tail + 1)
+    lo = np.concatenate([head_edges[:-1], tail_edges[:-1]])
+    hi = np.concatenate([head_edges[1:], tail_edges[1:]])
+    head = np.arange(lo.size) < n_head
+    # the two regions split tol, and a panel's share is its part of its
+    # region's width, so the panels' errors add up to at most tol
+    share = (hi - lo) * np.where(head, tol / (2.0 * -u_lo), tol / (2.0 * (T - 1.0)))
+    nodes, w16, w32 = _gauss_legendre()
+    value = 0.0
+    err = (50.0 + abs(x)) * eps_t  # bound on the dropped (0, eps_t] sliver
+    n_panels = lo.size
+    while lo.size:
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        t = mid[:, None] + half[:, None] * nodes
+        t[head] = np.exp(t[head])
+        g = (np.exp(-1j * x * t) * cf(t.ravel()).reshape(t.shape)).imag
+        g[~head] /= t[~head]
+        g16 = (g[:, :16] @ w16) * half
+        g32 = (g[:, 16:] @ w32) * half
+        e = np.abs(g32 - g16)
+        done = e <= share
+        value += float(np.sum(g32[done]))
+        err += float(np.sum(e[done]))
+        split = ~done
+        n_panels += int(np.count_nonzero(split))
+        if n_panels > _PANEL_BUDGET:
+            raise InversionError(f"quadrature needs more than {_PANEL_BUDGET} panels at x={x}")
+        lo, mid, hi = lo[split], mid[split], hi[split]
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        head = np.tile(head[split], 2)
+        share = np.tile(0.5 * share[split], 2)
+    err = err / math.pi + cf_T
     if err > max(tol, 1e-8) * 50:
         raise InversionError(f"inversion error estimate {err:.2e} exceeds budget at x={x}")
-    val = 0.5 - (v0 + v1 + v2) / math.pi
+    val = 0.5 - value / math.pi
     return InvertedCdf(min(max(val, 0.0), 1.0), err)
 
 

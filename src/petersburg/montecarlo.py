@@ -122,11 +122,12 @@ def simulate_trimmed(
     plan: SimPlan, params: GameParams = CLASSICAL, centered: bool = False
 ) -> EmpiricalTail:
     """Empirical law of the r-trimmed sum; centered mode returns
-    S_{n,r}/n - a_{n,gamma_n}^(r) instead of the raw sum."""
+    S_{n,r}/n - a_{n,gamma_n}^(r) instead of the raw sum, for the classical
+    game only (refused before drawing otherwise)."""
+    if centered and not params.is_classical:
+        raise ValueError("centered mode is classical-only")
     s = _draw_trimmed_sums(plan, params)
     if centered:
-        if not params.is_classical:
-            raise ValueError("centered mode is classical-only")
         s = s / plan.n - centering(plan.n, gamma_n(plan.n), plan.r)
     return EmpiricalTail.from_samples(s)
 

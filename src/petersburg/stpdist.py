@@ -326,12 +326,16 @@ def sample_payoffs(count, rng: np.random.Generator, params: GameParams = CLASSIC
 
     Classical payoffs are the exact powers 2^K, K = min{k : 1 - U > 2^-k},
     written straight into the exponent field of 1 - U; generalized ones are
-    q^(-K/alpha) with K from sample_levels.
+    q^(-K/alpha) with K from sample_levels.  A generalized payoff past the
+    float range is +inf, without a warning: it lies above every finite
+    threshold, as the payoff itself does.
     """
     import numpy as np
 
     if not params.is_classical:
-        return np.power(params.q, -sample_levels(count, rng, params) / params.alpha)
+        levels = sample_levels(count, rng, params)
+        with np.errstate(over="ignore"):
+            return np.power(params.q, -levels / params.alpha)
     v = rng.random(count)
     np.subtract(1.0, v, out=v)  # v in (0, 1]
     return _exponent_payoffs(v)

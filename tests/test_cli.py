@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -318,8 +319,8 @@ ON_DEMAND = {"petersburg.exact", "petersburg.asymptotics", "petersburg.limitlaw"
 
 
 def test_import_loads_no_scipy():
-    # the package and its CLI load stpdist alone; scipy is imported only by
-    # the quadrature oracle, numpy only by the array subcommands
+    # the package and its CLI load stpdist alone; nothing in the package
+    # imports scipy, and numpy is imported only by the array subcommands
     assert _imported("-c", "import petersburg, petersburg.cli") & ON_DEMAND == set()
 
 
@@ -736,6 +737,25 @@ def test_y_tail_refuses_non_finite_x_before_drawing(capsys, monkeypatch):
     for x in ("nan", "inf"):
         rc, out, err = run(capsys, "y-tail", "--gamma", "1", "--x", x)
         assert rc == 2 and out == "" and "x must be positive and finite" in err, err
+
+
+def test_mc_sim_refuses_centered_generalized_before_drawing(capsys, monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("mc-sim drew payoffs")
+
+    monkeypatch.setattr(montecarlo, "sample_payoffs", no_draw)
+    rc, out, err = run(capsys, *"mc-sim --n 4 --reps 2000 --seed 1 --alpha 1.5 --centered".split())
+    assert rc == 2 and out == "" and "centered mode is classical-only" in err, err
+
+
+def test_mc_sim_overflowing_payoffs_print_no_warning(capsys):
+    # every payoff at alpha = 1e-300 is past the float range: +inf, silently
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsys, "mc-sim", "--n", "4", "--r", "1", "--reps", "2000",
+                           "--seed", "2", "--alpha=1e-300")
+    assert rc == 0 and err == "", err
+    assert all(line.split(",")[1] == "1.0" for line in out.splitlines()[1:])
 
 
 def test_merge_checks_refuse_bad_reps_and_seed_before_building(capsys, monkeypatch):

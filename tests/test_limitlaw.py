@@ -7,6 +7,9 @@ here each piece is pinned against an independent small computation.
 
 import functools
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -16,6 +19,7 @@ from scipy.stats import ks_2samp, norm
 from legacy_cf import (legacy_cf_Wgamma, legacy_cf_Wjgamma, legacy_invert_cf_curve,
                        two_sin_cf_Wgamma, two_sin_log_cf_f)
 from legacy_mixture import legacy_curve_eval, legacy_mixture_cdf
+from legacy_quad import legacy_cdf_from_cf
 from oracle_reference import series_y_direct
 from petersburg import limitlaw
 from petersburg.limitlaw import (
@@ -273,6 +277,62 @@ def test_pointwise_inversion_refuses_what_it_cannot_answer():
     for tol in (math.nan, -1.0, 0.0, math.inf):
         with pytest.raises(ValueError, match="tol must lie in"):
             cdf_from_cf(cf, 1.0, tol=tol)
+
+
+def test_panel_rule_matches_quadpack_oracle():
+    # the QUADPACK inversion it replaced, within the sum of the two errors
+    cf = lambda t: cf_Wjgamma(0, 1.0, t)
+    for tol in (1e-8, 1e-4):
+        for x in (-1.0, 0.5, 2.0, 3.0, 5.0):
+            new, old = cdf_from_cf(cf, x, tol=tol), legacy_cdf_from_cf(cf, x, tol=tol)
+            assert abs(new.value - old.value) <= new.error + old.error, (tol, x)
+    gauss = lambda t: np.exp(-0.5 * np.asarray(t) ** 2)
+    new, old = cdf_from_cf(gauss, 1.0), legacy_cdf_from_cf(gauss, 1.0)
+    assert abs(new.value - old.value) <= new.error + old.error
+
+
+def test_pointwise_inversion_takes_arrays_and_refuses_past_the_panel_budget():
+    # cf sees 1-D float arrays only; a far x needs more tail panels than the
+    # budget allows and is refused by name after the truncation search alone
+    seen = []
+
+    def cf(t):
+        seen.append(t)
+        return np.exp(-0.5 * t**2)
+
+    cdf_from_cf(cf, 1.0)
+    assert all(isinstance(t, np.ndarray) and t.ndim == 1 and t.dtype == float for t in seen)
+    seen.clear()
+    with pytest.raises(InversionError, match=r"x=1000.0 needs .* tail panels"):
+        cdf_from_cf(cf, 1000.0)
+    assert [t.tolist() for t in seen] == [[64.0]]
+
+
+def test_slowly_decaying_cf_inverts_without_a_warning():
+    # Cauchy with scale 1/100: T doubles to 4096, past e^t's float range,
+    # and the tail nodes never go through exp
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = cdf_from_cf(lambda t: np.exp(-np.abs(t) / 100.0), 0.01, tol=1e-8)
+    assert abs(res.value - 0.75) <= res.error <= 1e-8
+
+
+def test_pointwise_inversion_loads_neither_scipy_nor_polynomial_at_import():
+    # importing limitlaw loads no numpy.polynomial (its nodes are made on the
+    # first inversion), and an inversion loads no scipy
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from petersburg.limitlaw import cdf_from_cf\n"
+        "before = {m for m in sys.modules if m.startswith('numpy.polynomial')}\n"
+        "cdf_from_cf(lambda t: np.exp(-0.5 * t**2), 1.0)\n"
+        "scipy = {m for m in sys.modules if m.split('.')[0] == 'scipy'}\n"
+        "print(sorted(before), sorted(scipy))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(limitlaw.__file__)))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert res.stdout == "[] []\n", res.stdout
 
 
 def test_wjg_curve_moments():

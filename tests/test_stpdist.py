@@ -3,6 +3,7 @@
 import copy
 import math
 import pickle
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -206,6 +207,17 @@ def test_generalized_sample_levels():
         assert abs(emp - p) <= 4.0 * math.sqrt(p * (1 - p) / levels.size)
     pay = sample_payoffs(100, np.random.default_rng(11), GEN)
     assert pay == pytest.approx(1.5 ** levels[:100].astype(float), rel=1e-12)
+
+
+def test_generalized_payoffs_past_the_float_range_are_inf_without_a_warning():
+    # at a tiny alpha every q^(-K/alpha) overflows: +inf lies above every
+    # finite threshold, as the payoff does, so no RuntimeWarning is raised
+    tiny = GameParams(1e-300, 0.5)
+    levels = sample_levels(1000, np.random.default_rng(5), tiny)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pay = sample_payoffs(1000, np.random.default_rng(5), tiny)
+    assert np.all(np.isposinf(pay)) and levels.min() >= 1
 
 
 def test_sample_levels_accepts_shape():
