@@ -528,7 +528,7 @@ def invert_cf_curve(cf: Callable, double: Callable, lo: float, hi: float, n_poin
                     density=g[::stride] / mass, error=err)
 
 
-# entry bounds of the curve caches: a G* segment reads about 20 W_{j,gamma}
+# entry bounds of the curve caches: a G* segment reads 13-20 W_{j,gamma}
 # curves of one gamma while it is built, and a few W_gamma curves of up to
 # 4 MB each are read again and again; the bounds keep a long gamma sweep
 # from holding every curve it ever built
@@ -626,11 +626,25 @@ _LOG_FACT = np.array([math.lgamma(m + 1.0) for m in range(1, _R_TERMS + 1)])
 _SEGMENT_CACHE_SIZE = 64
 
 
-def _collapse_cut(gamma: float, x_hi):
-    # components with eta_s >= (range + 40) look identical below x_hi up to
-    # the explicit no-big-jump factor, so curves above s are never built;
-    # ceil(log2(need)), exactly, is the binary exponent of the float below it
-    return np.frexp(np.nextafter(gamma * (x_hi + 104.0), 0.0))[1] + 1
+def _collapse_cut(gamma: float, x):
+    """The collapse cut of each x: the smallest c with eta_c = 2^c/gamma >=
+    x + 104, x taken within [64, 4096], and one more above 4096 (the far
+    segment)."""
+    # levels above c read W_{c,gamma} times the probability of no jump at
+    # eta_{c+1} or above; a jump adds at least eta_{c+1} = 2 eta_c, and
+    # 2 eta_c plus the lower edge of W_{c,gamma}'s window clears every x of
+    # the cut up to 4096, so the collapse is exact there.  ceil(log2(need)),
+    # exactly, is the binary exponent of the float below it
+    x = np.asarray(x, dtype=float)
+    need = gamma * (np.minimum(np.maximum(x, 64.0), _COLLAPSE_X_MAX) + 104.0)
+    return np.frexp(np.nextafter(need, 0.0))[1] + (x > _COLLAPSE_X_MAX)
+
+
+def _cut_range(gamma: float, cut: int) -> tuple:
+    """(lo, hi): the x in (lo, hi] whose collapse cut is cut; the bulk cut
+    (that of x = 64) also serves every x below, and only the far one serves
+    x above 4096."""
+    return tuple(math.ldexp(1.0, cut + d) / gamma - 104.0 for d in (-1, 0))
 
 
 class _TermTable(NamedTuple):
@@ -680,34 +694,35 @@ def _term_table(gamma: float, star: bool, s_cut: int) -> _TermTable:
 
 
 @functools.lru_cache(maxsize=_SEGMENT_CACHE_SIZE)
-def _segment(gamma: float, star: bool, cut: int, far: bool) -> CdfCurve:
+def _segment(gamma: float, star: bool, cut: int) -> CdfCurve:
     """The mixture of one collapse cut on the lattice x_i = i h, as a curve
     with one error per node interval.
 
     h is 2^-6/gamma on the bulk segment (the cut of x = 64, and every x
     below) and doubles with each cut above, which covers only its own x
-    range, and once more on the far segment (the top cut above x = 4096, up
-    to the lattice node at or past the cut curve's window top).  Every shift
-    the segment reads is a whole number of steps: each curve is resampled
-    once (value and slope from the Hermite kernel) and each term adds one
-    weighted slice, or its weight, through one cumulative sum, at the nodes
-    right of its window.  The error adds the weight the table leaves out,
-    each curve's error times its weight, and the largest gap, over the 64
-    intervals on either side, between the Hermite value at a midpoint and
-    the cubic through the four nearest nodes; on the far segment it is one
-    constant that also holds the collapse deficit and 1 - G*(far end).
+    range.  The far segment is the cut one above that of x = 4096; it serves
+    x above 4096 up to the lattice node at or past its curve's window top.
+    Every shift the segment reads is a whole number of steps: each curve is
+    resampled once (value and slope from the Hermite kernel) and each term
+    adds one weighted slice, or its weight, through one cumulative sum, at
+    the nodes right of its window.  The error adds the weight the table
+    leaves out, each curve's error times its weight, and the largest gap,
+    over the 64 intervals on either side, between the Hermite value at a
+    midpoint and the cubic through the four nearest nodes; on the far
+    segment it is one constant that also holds the collapse deficit and
+    1 - G*(far end).
     """
     table = _term_table(gamma, star, cut)
     # the largest curve first, so the peak memory of its build comes before
     # the smaller curves are held
     curves = {jj: wjg_cdf_curve(jj, gamma) for jj in sorted(set(table.jj.tolist()), reverse=True)}
     bulk = int(_collapse_cut(gamma, 64.0))
-    h = math.ldexp(1.0, cut - bulk + far - 6) / gamma
+    far = cut > _collapse_cut(gamma, _COLLAPSE_X_MAX)
+    h = math.ldexp(1.0, cut - bulk - 6) / gamma
     top = {jj: c.x0 + c.dx * (len(c.cdf) - 1) for jj, c in curves.items()}
     first = np.array([curves[jj].x0 for jj in table.jj]) + table.shifts
     last = np.array([top[jj] for jj in table.jj]) + table.shifts
-    # the x whose cut is cut: (2^(cut-2)/gamma - 104, 2^(cut-1)/gamma - 104]
-    x_lo, x_hi = (math.ldexp(1.0, cut + d) / gamma - 104.0 for d in (-2, -1))
+    x_lo, x_hi = _cut_range(gamma, cut)
     if cut == bulk:
         x_lo = float(first.min())
     x_lo, x_hi = (_COLLAPSE_X_MAX, top[cut]) if far else (x_lo, min(x_hi, _COLLAPSE_X_MAX))
@@ -758,21 +773,20 @@ def _segment(gamma: float, star: bool, cut: int, far: bool) -> CdfCurve:
 
 def _by_segment(gamma: float, x, star: bool, read: Callable, at_inf: float):
     """read(segment, points) at each finite point of x, from the segment of
-    its own cut, _collapse_cut(gamma, x within [64, 4096]), or the far one
-    above 4096, capped at the segment's end; at_inf at +inf, 0 at -inf."""
+    its own cut, _collapse_cut(gamma, x), capped at the segment's end;
+    at_inf at +inf, 0 at -inf."""
     _check_merging_gamma(gamma)
     scalar = np.ndim(x) == 0
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if np.isnan(xs).any():
         raise ValueError("x must not be nan")
-    key = 2 * _collapse_cut(gamma, np.minimum(np.maximum(xs, 64.0), _COLLAPSE_X_MAX))
-    key += xs > _COLLAPSE_X_MAX
+    key = _collapse_cut(gamma, xs)
     finite = np.isfinite(xs)
     out = np.where(xs == np.inf, at_inf, 0.0)
     keys = sorted(set(key[finite].tolist()), reverse=True)  # the cut with most curves first
     for k in keys:
         where = finite & (key == k) if len(keys) > 1 else finite
-        segment = _segment(float(gamma), star, k >> 1, bool(k & 1))
+        segment = _segment(float(gamma), star, k)
         # a segment ends at node n - 2, past every x of its cut but the far one's
         end = segment.x0 + segment.dx * (len(segment.cdf) - 2)
         out[where] = read(segment, np.minimum(xs[where], end))

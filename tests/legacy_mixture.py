@@ -5,7 +5,8 @@
 per term, in increasing j then m.  It reads the curves through the package's
 ``wjg_cdf_curve`` and shares no other code with the term table.
 ``legacy_curve_eval`` is ``CdfCurve.eval`` as it was before the mixture and
-the curves shared one Hermite kernel.
+the curves shared one Hermite kernel.  The collapse cut is the caller's: levels
+above it read the cut's curve times the probability of no big jump.
 """
 
 import math
@@ -39,17 +40,11 @@ def legacy_curve_eval(curve, x):
     return np.minimum(np.maximum(out, 0.0), 1.0)
 
 
-def _collapse_cut(gamma, x_hi):
-    need = gamma * (x_hi + 104.0)
-    return max(2, math.ceil(math.log2(need)) + 1)
-
-
-def legacy_mixture_cdf(gamma, xs, star, weight_tol=1e-10):
-    """G* (star=True) or the untrimmed mixture (star=False) at finite xs."""
+def legacy_mixture_cdf(gamma, xs, star, s_cut, weight_tol=1e-10):
+    """G* (star=True) or the untrimmed mixture (star=False) at finite xs,
+    with every level above s_cut collapsed onto W_{s_cut,gamma}."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     finite_hi = float(xs.max()) if xs.size else 0.0
-    x_hi = min(max(finite_hi, 64.0), 4096.0)
-    s_cut = _collapse_cut(gamma, x_hi)
     acc = np.zeros_like(xs)
     used = 0.0
     for j in range(-8, 64):

@@ -610,7 +610,7 @@ def test_merge_check_frozen_seed(capsys, monkeypatch):
     monkeypatch.setattr(limitlaw, "_segment", recording)
     rc, out, _ = run(capsys, "trimmed-merge-check", "--n", "64", "--reps", "20000", "--seed", "7")
     assert rc == 0
-    used = {jj for gamma, star, cut, _ in keys
+    used = {jj for gamma, star, cut in keys
             for jj in limitlaw._term_table(gamma, star, cut).jj.tolist()}
     assert len(used) >= 10
     tol = 2.0 * max(limitlaw.wjg_cdf_curve(jj, gamma_n(64)).error for jj in used)

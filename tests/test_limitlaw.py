@@ -511,20 +511,42 @@ def test_gstar_cdf_shape():
     assert vals[-1] > 0.99
 
 
-def _cut_top(gamma, cut):
-    # the largest x whose collapse cut is cut
-    return math.ldexp(1.0, cut - 1) / gamma - 104.0
+def test_collapse_is_exact_on_every_cut():
+    # a level above the cut c adds at least one jump eta_{c+1} = 2^(c+1)/gamma
+    # to W_{c,gamma}, whose window starts at lo, so the collapse is exact up
+    # to 2^(c+1)/gamma + lo; that must clear the top x of the cut, which the
+    # window's hi must cover.  A cut one level lower fails the first check
+    margins = []
+    for gamma in np.linspace(0.5, 1.0, 51):
+        g = float(gamma)
+        bulk, top = (int(limitlaw._collapse_cut(g, x)) for x in (64.0, 4096.0))
+        for cut in range(bulk, top + 1):
+            x_lo, x_hi = limitlaw._cut_range(g, cut)
+            x_hi = min(x_hi, 4096.0)
+            assert limitlaw._collapse_cut(g, 0.5 * (x_lo + x_hi)) == cut
+            _, lo, hi, _ = limitlaw._wjg_window(cut, g)
+            margins.append((math.ldexp(1.0, cut + 1) / g + lo - x_hi, hi - x_hi))
+    low, high = np.min(margins, axis=0)
+    print(f"collapse margin {low:.1f}, window margin {high:.1f}")
+    assert low > 0.0 and high > 0.0
 
 
-def _legacy_per_cut(gamma, xs, star, tol):
-    # the oracle collapses every point at its query's largest x, so it is
-    # called once per cut group, and both sides collapse at the same cut
+def _legacy_per_cut(gamma, xs, star, tol, lift=0):
+    # the oracle collapses every point at the cut it is given: the engine's
+    # cut of that point, lift levels up, so it is called once per cut group
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    cuts = limitlaw._collapse_cut(gamma, np.minimum(np.maximum(xs, 64.0), 4096.0))
+    cuts = limitlaw._collapse_cut(gamma, xs)
     want = np.empty_like(xs)
     for c in np.unique(cuts):
-        want[cuts == c] = legacy_mixture_cdf(gamma, xs[cuts == c], star, tol)
+        want[cuts == c] = legacy_mixture_cdf(gamma, xs[cuts == c], star, int(c) + lift, tol)
     return want
+
+
+def _cut_ranges(gamma):
+    # [-6, 60] in the bulk, then the x range of every cut above it up to 4096
+    bulk, top = (int(limitlaw._collapse_cut(gamma, x)) for x in (64.0, 4096.0))
+    ranges = (limitlaw._cut_range(gamma, c) for c in range(bulk + 1, top + 1))
+    return [(-6.0, 60.0)] + [(lo, min(hi, 4096.0)) for lo, hi in ranges]
 
 
 def _lattice(gamma, lo, hi):
@@ -535,8 +557,9 @@ def _lattice(gamma, lo, hi):
     nodes = []
     for cut in range(bulk, top + 1):
         h = math.ldexp(1.0, cut - bulk - 6) / gamma
-        a = lo if cut == bulk else max(lo, _cut_top(gamma, cut - 1))
-        b = min(hi, _cut_top(gamma, cut))
+        c_lo, c_hi = limitlaw._cut_range(gamma, cut)
+        a = lo if cut == bulk else max(lo, c_lo)
+        b = min(hi, c_hi)
         nodes.append(h * np.arange(math.floor(a / h) + 1, math.ceil(b / h)))
     return np.concatenate(nodes)
 
@@ -576,18 +599,28 @@ def test_gstar_error_covers_the_interpolation(gamma):
     # off the lattice, G* is a Hermite read of the segment's nodes; its
     # error bounds the gap to the per-term loop on [-6, 60] and on every
     # segment above the bulk
-    bulk = int(limitlaw._collapse_cut(gamma, 64.0))
-    top = int(limitlaw._collapse_cut(gamma, 4096.0))
-    ranges = [(-6.0, 60.0)] + [(_cut_top(gamma, c - 1),
-                                min(_cut_top(gamma, c), 4096.0))
-                               for c in range(bulk + 1, top + 1)]
     rng = np.random.default_rng(5)
-    for lo, hi in ranges:
+    for lo, hi in _cut_ranges(gamma):
         xs = rng.uniform(lo, hi, 300)
         gap = np.abs(gstar_cdf(gamma, xs) - _legacy_per_cut(gamma, xs, True, 1e-10))
         ratio = float(np.max(gap / gstar_cdf_error(gamma, xs)))
         print(f"gamma {gamma} on [{lo:.0f}, {hi:.0f}]: gap/error {ratio:.3f}")
         assert ratio <= 1.0
+
+
+@pytest.mark.parametrize("gamma", [0.5, 0.6, 0.75, 0.9, 1.0])
+def test_mixtures_match_the_loop_one_cut_up(gamma):
+    # collapsing one level higher moves G* and the untrimmed mixture by less
+    # than their error, on [-6, 60] and on every segment up to 4096
+    rng = np.random.default_rng(6)
+    for lo, hi in _cut_ranges(gamma):
+        xs = rng.uniform(lo, hi, 50)
+        for star, fn in ((True, gstar_cdf), (False, gmix_cdf)):
+            gap = np.abs(fn(gamma, xs) - _legacy_per_cut(gamma, xs, star, 1e-10, lift=1))
+            error = limitlaw._by_segment(gamma, xs, star, limitlaw._error_at, 0.0)
+            ratio = float(np.max(gap / error))
+            print(f"gamma {gamma} star {star} on [{lo:.0f}, {hi:.0f}]: gap/error {ratio:.3f}")
+            assert ratio <= 1.0
 
 
 def test_gstar_edges_warn_nothing():
@@ -613,7 +646,7 @@ def test_gstar_error_covers_what_the_mixture_leaves_out():
     err = gstar_cdf_error(g, xs)
     # the skipped levels alone weigh 2.1e-10 here, more than the 1e-10 level cut
     assert np.all(err > 2e-10)
-    fine = legacy_mixture_cdf(g, xs, True, weight_tol=1e-14)
+    fine = legacy_mixture_cdf(g, xs, True, int(limitlaw._collapse_cut(g, 40.0)), 1e-14)
     assert float(np.max(np.abs(gstar_cdf(g, xs) - fine))) <= err.min()
     # above the collapse window the collapse factors' deficit joins in
     far = np.array([100.0, 5000.0, 1e300])
@@ -683,7 +716,7 @@ def test_curve_eval_is_the_hermite_value():
     # eval skips the slope, but its values are the kernel's bit for bit, on
     # the W_1 curve and on a G* segment, both window edges among the points
     cut = int(limitlaw._collapse_cut(1.0, 64.0))
-    for curve in (wgamma_cdf_curve(1.0), limitlaw._segment(1.0, True, cut, False)):
+    for curve in (wgamma_cdf_curve(1.0), limitlaw._segment(1.0, True, cut)):
         n = len(curve.cdf)
         lo, hi = curve.x0, curve.x0 + curve.dx * (n - 1)
         xs = np.concatenate([np.linspace(lo - curve.dx, hi + curve.dx, 4001), [lo, hi]])
