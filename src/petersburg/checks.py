@@ -42,11 +42,10 @@ from petersburg.limitlaw import (
 )
 from petersburg.montecarlo import (
     EmpiricalTail,
+    _merging_ks,
     chernoff_check,
     histogram_fig1,
-    merge_check,
     side_lobe_stats,
-    trimmed_merge_check,
 )
 from petersburg.stpdist import (
     GameParams,
@@ -244,16 +243,14 @@ def check_cf_moments_and_backends() -> CheckResult:
 def check_merging_ks(merge_reps: int = 200_000, merge_seed: int = 11) -> CheckResult:
     """KS distance to the limit curve shrinks from n = 64 to n = 4096 and ends
     below tolerance, for the full sum and for the max-trimmed sum."""
-    ks_small = merge_check(64, reps=merge_reps, seed=merge_seed)["ks"]
-    ks_big = merge_check(4096, reps=merge_reps, seed=merge_seed)["ks"]
-    kst_small = trimmed_merge_check(64, reps=merge_reps, seed=merge_seed)["ks"]
-    kst_big = trimmed_merge_check(4096, reps=merge_reps, seed=merge_seed)["ks"]
-    ok = ks_big <= _KS_TOL and kst_big <= _KS_TOL and ks_big < ks_small and kst_big < kst_small
+    small = _merging_ks(64, merge_reps, merge_seed)
+    big = _merging_ks(4096, merge_reps, merge_seed)
+    ok = all(big[r] <= _KS_TOL and big[r] < small[r] for r in (0, 1))
     return CheckResult(
         "merging_ks",
         ok,
         f"KS at n = 4096 below {_KS_TOL} and below the n = 64 value, both statistics",
-        f"full {ks_small:.4f} -> {ks_big:.4f}; trimmed {kst_small:.4f} -> {kst_big:.4f}",
+        f"full {small[0]:.4f} -> {big[0]:.4f}; trimmed {small[1]:.4f} -> {big[1]:.4f}",
     )
 
 

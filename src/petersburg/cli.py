@@ -499,6 +499,8 @@ class _FailedReport(str):
 
 
 def _cmd_repro_all(args) -> str:
+    import time
+
     from petersburg.checks import ALL_CHECKS, DEFAULT_CONFIG
 
     config = _load_config(args.config) if args.config else dict(DEFAULT_CONFIG)
@@ -506,10 +508,11 @@ def _cmd_repro_all(args) -> str:
              f"config: {args.config if args.config else 'defaults'}"]
     failures = 0
     for name, fn, keys in ALL_CHECKS:
+        t0 = time.perf_counter()
         res = fn(**{k: config[k] for k in keys})
         failures += 0 if res.passed else 1
         lines.append(res.line())
-        print(res.line(), file=sys.stderr)
+        print(f"{res.line()} ({time.perf_counter() - t0:.1f} s)", file=sys.stderr)
     lines.append(f"{len(ALL_CHECKS) - failures}/{len(ALL_CHECKS)} checks passed")
     report = "\n".join(lines) + "\n"
     return _FailedReport(report) if failures else report

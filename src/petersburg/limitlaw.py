@@ -21,6 +21,7 @@ import numpy as np
 
 from petersburg.stpdist import (
     InversionError,
+    _empty_draws,
     a_const,
     chernoff_h,
     eta_jgamma,
@@ -871,10 +872,7 @@ def sample_Y(
     if truncation < r + 1:
         raise ValueError("truncation must be >= r + 1")
     blocks = seed_blocks(seed, reps)  # validates seed and reps
-    try:
-        out = np.empty(reps)
-    except (ValueError, MemoryError) as exc:
-        raise ValueError(f"reps = {reps} draws cannot be allocated: {exc}") from None
+    out = _empty_draws(reps)
     center = series_center(r, gamma, truncation)
     pos = 0
     for rng, rows in blocks:

@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from petersburg.limitlaw import gstar_cdf, wgamma_cdf_curve
 from petersburg.stpdist import (
     CLASSICAL,
     GameParams,
     _check_seed_reps,
+    _empty_draws,
     centering,
     chernoff_bound,
     gamma_n,
@@ -85,35 +85,30 @@ class EmpiricalTail:
 _EXACT_SUM = 2.0**53  # classical row sums below this are exact integers
 
 
-def _trim_by_partition(pay: np.ndarray, r: int) -> np.ndarray:
+def _trim(pay: np.ndarray, row_sums: np.ndarray, r: int, params: GameParams) -> np.ndarray:
+    """Each row of pay minus its r largest payoffs, given the row sums.  For
+    the classical game with r = 1 this is the row sum minus the row max, exact
+    while every sum is below 2^53; a block with a sum that reaches it is summed
+    by partition, as every other case is, and each row keeps its bits either way."""
+    if r == 0:
+        return row_sums
+    if r == 1 and params.is_classical and row_sums.max() < _EXACT_SUM:
+        return row_sums - pay.max(axis=1)
     n = pay.shape[1]
     return np.partition(pay, n - r - 1, axis=1)[:, : n - r].sum(axis=1)
 
 
-def _draw_trimmed_sums(plan: SimPlan, params: GameParams = CLASSICAL) -> np.ndarray:
-    """Raw trimmed-sum replicates: S_n minus its r largest payoffs.
-
-    For the classical game with r = 1 this is the row sum minus the row max,
-    exact while the sum is below 2^53; rows that reach it are summed by
-    partition, as every other trimmed case is, so every row keeps the same
-    bits whichever way it is computed.
-    """
-    n, r = plan.n, plan.r
-    out = np.empty(plan.reps)
+def _draw_trimmed_sums(
+    out: np.ndarray, n: int, seed: int, rs, params: GameParams = CLASSICAL
+) -> np.ndarray:
+    """Fill out, one row per r in rs, with out.shape[1] replicates of S_n minus
+    its r largest payoffs, every row from the same draw; returns out."""
     pos = 0
-    for rng, rows in seed_blocks(plan.master_seed, plan.reps, n):
+    for rng, rows in seed_blocks(seed, out.shape[1], n):
         pay = sample_payoffs((rows, n), rng, params)
-        if r == 0:
-            s = pay.sum(axis=1)
-        elif r == 1 and params.is_classical:
-            s = pay.sum(axis=1)
-            big = s >= _EXACT_SUM
-            s -= pay.max(axis=1)
-            if big.any():
-                s[big] = _trim_by_partition(pay[big], r)
-        else:
-            s = _trim_by_partition(pay, r)
-        out[pos : pos + rows] = s
+        s = pay.sum(axis=1)
+        for i, r in enumerate(rs):
+            out[i, pos : pos + rows] = _trim(pay, s, r, params)
         pos += rows
     return out
 
@@ -126,18 +121,31 @@ def simulate_trimmed(
     game only (refused before drawing otherwise)."""
     if centered and not params.is_classical:
         raise ValueError("centered mode is classical-only")
-    s = _draw_trimmed_sums(plan, params)
+    out = _empty_draws(1, plan.reps)
+    s = _draw_trimmed_sums(out, plan.n, plan.master_seed, (plan.r,), params)[0]
     if centered:
         s = s / plan.n - centering(plan.n, gamma_n(plan.n), plan.r)
     return EmpiricalTail.from_samples(s)
 
 
-def _ks_to_limit(plan: SimPlan, limit_cdf) -> float:
-    """KS distance of the plan's (S_n minus its r largest)/n - log2(n) to limit_cdf."""
-    s = _draw_trimmed_sums(plan)
-    z = np.sort(s / plan.n - math.log2(plan.n))
-    f_emp = np.arange(1, plan.reps + 1) / plan.reps
-    return float(np.max(np.abs(f_emp - limit_cdf(z))))
+def _merging_ks(n: int, reps: int, seed: int, rs=(0, 1)) -> dict:
+    """{r: KS distance of (S_n minus its r largest)/n - log2(n) to W_gamma_n
+    (r = 0) or G* (r = 1)} for r in rs, all from one draw.  Refused before any
+    curve build; W_gamma is built before the draw, whose memory (numpy.random
+    with it) would otherwise sit under the build's peak, 5 MB in a fresh process."""
+    from petersburg.limitlaw import gstar_cdf, wgamma_cdf_curve
+
+    SimPlan(n=n, r=max(rs), reps=reps, master_seed=seed)
+    out = _empty_draws(len(rs), reps)
+    g = gamma_n(n)
+    w_cdf = wgamma_cdf_curve(g).eval if 0 in rs else None
+    zs = np.sort(_draw_trimmed_sums(out, n, seed, rs) / n - math.log2(n), axis=1)
+    f_emp = np.arange(1, reps + 1) / reps
+    ks = {}
+    for r, z in zip(rs, zs):
+        limit = gstar_cdf(g, z) if r else w_cdf(z)
+        ks[r] = float(np.max(np.abs(f_emp - limit)))
+    return ks
 
 
 def merge_check(n: int, reps: int = 200_000, seed: int = 0) -> dict:
@@ -147,10 +155,8 @@ def merge_check(n: int, reps: int = 200_000, seed: int = 0) -> dict:
     The draws are bit-identical given (seed, replicate index), but ``ks`` is
     defined only up to the ``error`` of ``wgamma_cdf_curve(gamma_n)``: its
     last bits depend on the numpy build's FFT and sin/exp kernels."""
-    plan = SimPlan(n=n, reps=reps, master_seed=seed)  # refused before the curve build
-    g = gamma_n(n)
-    ks = _ks_to_limit(plan, wgamma_cdf_curve(g).eval)
-    return {"n": n, "gamma": g, "reps": reps, "ks": ks}
+    return {"n": n, "gamma": gamma_n(n), "reps": reps,
+            "ks": _merging_ks(n, reps, seed, (0,))[0]}
 
 
 def trimmed_merge_check(n: int, reps: int = 200_000, seed: int = 0) -> dict:
@@ -160,10 +166,8 @@ def trimmed_merge_check(n: int, reps: int = 200_000, seed: int = 0) -> dict:
     The draws are bit-identical given (seed, replicate index), but ``ks`` is
     defined only up to the largest ``error`` of the ``wjg_cdf_curve`` curves
     the mixture reads: they are FFT inversions too."""
-    plan = SimPlan(n=n, r=1, reps=reps, master_seed=seed)  # refused before any G* table
-    g = gamma_n(n)
-    ks = _ks_to_limit(plan, lambda z: gstar_cdf(g, z))
-    return {"n": n, "gamma": g, "reps": reps, "ks": ks}
+    return {"n": n, "gamma": gamma_n(n), "reps": reps,
+            "ks": _merging_ks(n, reps, seed, (1,))[1]}
 
 
 def max_pmf_check(n: int, j_lo: int = -3, j_hi: int = 6, reps: int = 1_000_000, seed: int = 0) -> dict:
@@ -248,7 +252,7 @@ def histogram_fig1(
     for rng, rows in seed_blocks(seed, reps, n):
         pay = sample_payoffs((rows, n), rng)
         s = pay.sum(axis=1)
-        t = s - pay.max(axis=1)
+        t = _trim(pay, s, 1, CLASSICAL)
         counts_full += np.histogram(np.log2(s), bins=nbins, range=(lo, hi))[0]
         counts_trim += np.histogram(np.log2(t), bins=nbins, range=(lo, hi))[0]
     return {

@@ -253,6 +253,18 @@ def _check_seed_reps(seed, reps: int) -> None:
         raise ValueError(f"reps must be >= 1, got {reps}")
 
 
+def _empty_draws(*shape: int):
+    """np.empty(shape) whose last axis holds a sampler's reps replicates,
+    allocated before any draw; a size numpy cannot allocate raises ValueError
+    naming reps."""
+    import numpy as np
+
+    try:
+        return np.empty(shape)
+    except (ValueError, MemoryError) as exc:
+        raise ValueError(f"reps = {shape[-1]} draws cannot be allocated: {exc}") from None
+
+
 def seed_blocks(seed, reps: int, row_len: int = 1):
     """An iterator of (rng, rows) over reps replicates in replicate order.
 

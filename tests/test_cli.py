@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -337,6 +338,8 @@ def test_import_loads_no_scipy():
     (["subexp-limits", "--p", "0.3"], {"petersburg.exact", "petersburg.asymptotics"}),
     (["gstar-cdf", "--gamma", "0.75", "--x", "2"], {"petersburg.limitlaw", "numpy"}),
     (["limit-cdf", "--gamma", "1", "--j", "0", "--x", "3"], {"petersburg.limitlaw", "numpy"}),
+    (["mc-sim", "--n", "4", "--reps", "100", "--seed", "1"],
+     {"petersburg.montecarlo", "petersburg.exact", "numpy", "dataclasses"}),
 ])
 def test_closed_form_calls_load_only_their_engine(argv, loads):
     assert _imported("-m", "petersburg.cli", *argv) & ON_DEMAND == loads
@@ -762,8 +765,8 @@ def test_merge_checks_refuse_bad_reps_and_seed_before_building(capsys, monkeypat
     def no_build(*args, **kwargs):
         raise AssertionError("a limit curve or G* table was built")
 
-    monkeypatch.setattr(montecarlo, "wgamma_cdf_curve", no_build)
-    monkeypatch.setattr(montecarlo, "gstar_cdf", no_build)
+    monkeypatch.setattr(limitlaw, "wgamma_cdf_curve", no_build)
+    monkeypatch.setattr(limitlaw, "gstar_cdf", no_build)
     for sub in ("merge-check", "trimmed-merge-check"):
         for flags, message in (
             (("--reps", "0", "--seed", "1"), "reps must be >= 1, got 0"),
@@ -771,6 +774,20 @@ def test_merge_checks_refuse_bad_reps_and_seed_before_building(capsys, monkeypat
         ):
             rc, out, err = run(capsys, sub, "--n", "64", *flags)
             assert rc == 2 and out == "" and message in err, (sub, err)
+
+
+@pytest.mark.parametrize("sub", ["mc-sim", "merge-check", "trimmed-merge-check"])
+def test_unallocatable_reps_refused_by_name_before_drawing(capsys, monkeypatch, sub):
+    # numpy refuses 2^62 float64 replicates on any machine without allocating
+    def no_work(*args, **kwargs):
+        raise AssertionError("payoffs were drawn or a limit curve was built")
+
+    for module, name in ((montecarlo, "sample_payoffs"), (limitlaw, "wgamma_cdf_curve"),
+                         (limitlaw, "gstar_cdf")):
+        monkeypatch.setattr(module, name, no_work)
+    rc, out, err = run(capsys, sub, "--n", "64", "--reps", str(2**62), "--seed", "1")
+    assert rc == 2 and out == "", err
+    assert f"reps = {2**62} draws cannot be allocated" in err, err
 
 
 def test_argparse_failures_exit_2(capsys):
@@ -994,8 +1011,11 @@ def test_repro_all_quick_config(capsys, tmp_path):
     assert text.strip().endswith("14/14 checks passed")
     assert text.count("PASS") == 14
     assert "FAIL" not in text
-    # progress streams to stderr as each check lands
+    # progress streams to stderr as each check lands, with its seconds; the
+    # report carries none, so its bytes do not depend on the machine
     assert err.count("PASS") == 14
+    assert len(re.findall(r"^PASS .*\] \(\d+\.\d s\)$", err, re.M)) == 14, err
+    assert not re.search(r"\d s\)", text)
 
 
 def test_config_keys_come_from_check_signatures():

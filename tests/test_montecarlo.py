@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from oracle_reference import FixedUniforms, frexp_levels
-from petersburg import montecarlo
+from petersburg import checks, montecarlo
 from petersburg.exact import oscillation_curve_fig2, trimmed_tail_exact
 from petersburg.limitlaw import sample_Y
 from petersburg.montecarlo import (
@@ -18,11 +18,12 @@ from petersburg.montecarlo import (
     chernoff_check,
     histogram_fig1,
     max_pmf_check,
+    merge_check,
     side_lobe_stats,
     simulate_trimmed,
     trimmed_merge_check,
 )
-from petersburg.stpdist import SEED_BLOCK, GameParams, seed_blocks
+from petersburg.stpdist import CLASSICAL, SEED_BLOCK, GameParams, sample_payoffs, seed_blocks
 
 
 def test_simplan_validation():
@@ -58,8 +59,8 @@ def test_same_plan_same_samples():
 
 def test_seed_blocks_give_prefix_stability():
     # replicate i depends on the seed and i alone, not on total reps
-    a = _draw_trimmed_sums(SimPlan(n=3, r=1, reps=70_000, master_seed=3))
-    b = _draw_trimmed_sums(SimPlan(n=3, r=1, reps=100_000, master_seed=3))
+    a = _draw_trimmed_sums(np.empty((1, 70_000)), 3, 3, (1,))[0]
+    b = _draw_trimmed_sums(np.empty((1, 100_000)), 3, 3, (1,))[0]
     assert np.array_equal(a[:65536], b[:65536])
     # a numpy integer is an integer seed
     assert next(seed_blocks(np.int64(3), 1))[1] == 1
@@ -116,12 +117,12 @@ def _fig1_raw():
 # payoffs were read off the raw exponent bits.
 _DRAW_DIGESTS = {
     "trimmed-n3": (
-        lambda: _draw_trimmed_sums(SimPlan(n=3, r=1, reps=70_000, master_seed=3)),
+        lambda: _draw_trimmed_sums(np.empty((1, 70_000)), 3, 3, (1,))[0],
         "56aba3d47f93bd26fbb2457d33b1611fc9055eba71825677887fe2ff68424a37",
     ),
     "generalized-n4": (
-        lambda: _draw_trimmed_sums(SimPlan(n=4, r=0, reps=70_000, master_seed=5),
-                                   GameParams(1.0, 1.0 / 3.0)),
+        lambda: _draw_trimmed_sums(np.empty((1, 70_000)), 4, 5, (0,),
+                                   GameParams(1.0, 1.0 / 3.0))[0],
         "e80c00e74d245ceadff5229b56442a241331a144289dae68d0a8a3ae9c082484",
     ),
     "sample-y": (
@@ -129,7 +130,7 @@ _DRAW_DIGESTS = {
         "2b014bc54850f9f827f9c2c3696b1125623aa420ce7a808c4a67c85d7dfcd5da",
     ),
     "trimmed-n1024": (
-        lambda: _draw_trimmed_sums(SimPlan(n=1024, r=1, reps=40_000, master_seed=4)),
+        lambda: _draw_trimmed_sums(np.empty((1, 40_000)), 1024, 4, (1,))[0],
         "9148ced7d49e66f445465da4aec35b89605c6e70cbbcc06ef29d6e98e813d2b8",
     ),
     "max-pmf-n1024": (
@@ -164,13 +165,42 @@ def test_trimmed_rows_past_2_53_keep_partition_bits(monkeypatch):
                   [0.5, 0.25, 0.0, 0.75]])
     monkeypatch.setattr(montecarlo, "seed_blocks",
                         lambda seed, reps, row_len: iter([(FixedUniforms(u), reps)]))
-    got = _draw_trimmed_sums(SimPlan(n=4, r=1, reps=3))
+    got = _draw_trimmed_sums(np.empty((1, 3)), 4, 0, (1,))[0]
     pay = np.ldexp(1.0, frexp_levels(1.0 - u))
     assert pay[0].sum() >= 2.0**53 and pay[1].sum() >= 2.0**53 and pay[2].sum() < 2.0**53
     want = np.partition(pay, 2, axis=1)[:, :3].sum(axis=1)
     assert np.array_equal(got, want)
     # 2^54 + 2^54 + 4 + 4 rounds to 2^55, so the plain difference would lose the 8
     assert got[0] == 2.0**54 + 8.0 != pay[0].sum() - pay[0].max()
+
+
+def test_fig1_bins_rows_past_2_53_by_their_exact_trimmed_sum(monkeypatch):
+    # the row (2^54, 128, 16, 8, 2): its float sum rounds to 2^54 + 152, so
+    # sum minus max would read 152, in bin [7, 7.25); the trimmed sum is 154
+    u = np.array([[1.0 - 2.0**-53, 1.0 - 2.0**-6, 0.875, 0.75, 0.0]])
+    monkeypatch.setattr(montecarlo, "seed_blocks",
+                        lambda seed, reps, row_len: iter([(FixedUniforms(u), reps)]))
+    hist = histogram_fig1(5, reps=1)
+    assert hist["edges"][1] == 7.25 and hist["counts_trimmed"][1] == 1
+    assert hist["counts_trimmed"].sum() == 1 and hist["counts_untrimmed"].sum() == 0
+
+
+@pytest.mark.parametrize("n, reps, seed", [(64, 20_000, 7), (100, 20_000, 3)])
+def test_merging_ks_reads_both_statistics_off_one_draw(n, reps, seed):
+    ks = montecarlo._merging_ks(n, reps, seed)
+    assert ks == {0: merge_check(n, reps, seed)["ks"], 1: trimmed_merge_check(n, reps, seed)["ks"]}
+
+
+def test_check_merging_ks_draws_each_n_once(monkeypatch):
+    drawn = []
+
+    def counting(shape, rng, params=CLASSICAL):
+        drawn.append(shape[0] * shape[1])
+        return sample_payoffs(shape, rng, params)
+
+    monkeypatch.setattr(montecarlo, "sample_payoffs", counting)
+    checks.check_merging_ks(merge_reps=2000)
+    assert sum(drawn) == 2000 * (64 + 4096)
 
 
 def test_centered_mode_rejects_generalized():
